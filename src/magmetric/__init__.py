@@ -7,8 +7,7 @@ with analytic gradients, classical baselines, reproducible studies, and a toy
 push-forward generator trained on the multiscale distance.
 """
 from .core import (DimensionMismatch, PointCsvError, PointSet, RngState,
-                   SimilarityMatrix, dedupe, pairwise_distances,
-                   read_point_csv, sample_gaussian, similarity_matrix,
+                   dedupe, pairwise_distances, read_point_csv, sample_gaussian,
                    symmetric_difference_count, union_sets, write_point_csv)
 from .magnitude import (CholeskyFailure, CoincidentPoints, EigenFailure,
                         MagnitudeResult, NeumannEstimate, ScalePoint,
@@ -38,9 +37,8 @@ __all__ = [
     "__version__",
     # core
     "DimensionMismatch", "PointCsvError", "PointSet", "RngState",
-    "SimilarityMatrix", "dedupe", "pairwise_distances", "read_point_csv",
-    "sample_gaussian", "similarity_matrix", "symmetric_difference_count",
-    "union_sets", "write_point_csv",
+    "dedupe", "pairwise_distances", "read_point_csv", "sample_gaussian",
+    "symmetric_difference_count", "union_sets", "write_point_csv",
     # magnitude
     "CholeskyFailure", "CoincidentPoints", "EigenFailure", "MagnitudeResult",
     "NeumannEstimate", "ScalePoint", "SpectralProfile", "WeightingVector",

@@ -1,4 +1,4 @@
-"""Point sets, similarity matrices, deduplication, and deterministic sampling.
+"""Point sets, exact deduplication, and deterministic sampling.
 
 Everything downstream (magnitude solves, distances, studies) builds on the
 immutable PointSet and the splitmix64-based RngState defined here. The RNG is
@@ -8,7 +8,6 @@ implementation (in any language) can reproduce every sample bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -167,21 +166,18 @@ class PointSet:
         return f"PointSet(n={len(self)}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """exp(-t * distance) Gram matrix of a point set at scale t."""
+def _unique_rows(coords: np.ndarray):
+    """Exact row grouping (-0.0 == 0.0) by one np.unique over a byte view.
 
-    entries: np.ndarray
-    scale: float
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
-
-def _point_key(row: np.ndarray) -> bytes:
-    # +0.0 collapses -0.0 and 0.0 into one key; NaN never reaches here
-    return (row + 0.0).tobytes()
+    Returns (canonical, first, inverse): the distinct rows, +0.0-normalized,
+    in byte order of their keys (which depends only on the set of rows);
+    first[g], the index of group g's first occurrence; and inverse[i], the
+    group of row i.
+    """
+    c = np.ascontiguousarray(coords + 0.0)
+    keys = c.view(np.dtype((np.void, c.dtype.itemsize * c.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return c[first], first, inverse.ravel()
 
 
 def _require_same_dim(X: PointSet, Y: PointSet) -> None:
@@ -196,53 +192,21 @@ def pairwise_distances(X: PointSet) -> np.ndarray:
     return cdist(X.coords, X.coords)
 
 
-def similarity_matrix(X: PointSet, t: float) -> SimilarityMatrix:
-    """entry(i, j) = exp(-t * ||x_i - x_j||), t > 0."""
-    if t <= 0:
-        raise ValueError("scale t must be positive")
-    return SimilarityMatrix(entries=np.exp(-t * pairwise_distances(X)), scale=float(t))
+def dedupe(X: PointSet):
+    """Collapse exactly equal points (with -0.0 == 0.0).
 
-
-def dedupe(X: PointSet, tol: float = 0.0):
-    """Collapse groups of points within distance `tol` of a representative.
-
-    tol = 0 groups on exact coordinate equality (with -0.0 == 0.0). The
-    first occurrence represents each group. Returns (representatives,
-    multiplicity); multiplicities sum to len(X).
+    The first occurrence represents each group, in first-occurrence order.
+    Returns (representatives, multiplicity); multiplicities sum to len(X),
+    and X itself comes back when it has no duplicates.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    coords = X.coords
     if len(X) == 0:
         return X, np.zeros(0, dtype=np.intp)
-    if tol == 0.0:
-        groups: dict[bytes, int] = {}
-        keep: list[int] = []
-        counts: list[int] = []
-        for i in range(coords.shape[0]):
-            key = _point_key(coords[i])
-            g = groups.get(key)
-            if g is None:
-                groups[key] = len(keep)
-                keep.append(i)
-                counts.append(1)
-            else:
-                counts[g] += 1
-        if len(keep) == coords.shape[0]:
-            return X, np.ones(len(keep), dtype=np.intp)
-        return PointSet(coords[keep]), np.asarray(counts, dtype=np.intp)
-    # tolerance grouping: greedy first-fit against earlier representatives
-    reps: list[int] = []
-    counts = []
-    for i in range(coords.shape[0]):
-        for g, r in enumerate(reps):
-            if float(np.linalg.norm(coords[i] - coords[r])) <= tol:
-                counts[g] += 1
-                break
-        else:
-            reps.append(i)
-            counts.append(1)
-    return PointSet(coords[reps]), np.asarray(counts, dtype=np.intp)
+    _, first, inverse = _unique_rows(X.coords)
+    if len(first) == len(X):
+        return X, np.ones(len(X), dtype=np.intp)
+    order = np.argsort(first)
+    counts = np.bincount(inverse)
+    return PointSet(X.coords[first[order]]), counts[order]
 
 
 def union_sets(X: PointSet, Y: PointSet) -> PointSet:
@@ -255,9 +219,9 @@ def union_sets(X: PointSet, Y: PointSet) -> PointSet:
 def symmetric_difference_count(X: PointSet, Y: PointSet) -> int:
     """|X delta Y| under exact coordinate equality."""
     _require_same_dim(X, Y)
-    xs = {_point_key(r) for r in X.coords}
-    ys = {_point_key(r) for r in Y.coords}
-    return len(xs ^ ys)
+    xs, ys = _unique_rows(X.coords)[0], _unique_rows(Y.coords)[0]
+    groups = _unique_rows(np.concatenate([xs, ys]))[2]
+    return int((np.bincount(groups) == 1).sum())
 
 
 def sample_gaussian(rng: RngState, n: int, dim: int, mean=0.0, std: float = 1.0) -> PointSet:

@@ -1,8 +1,10 @@
 """Magnitude distance between point sets, curriculum loss, and checkers.
 
 The distance at scale t is 2*Mag(X u Y) - Mag(X) - Mag(Y); the normalized
-variant divides by Mag(X u Y). The union solve runs on a canonical row
-ordering so that swapping the arguments returns bit-identical numbers.
+variant divides by Mag(X u Y). mag_distance and the training gradient share
+one core: one distance matrix and one zeta for the union, in a canonical row
+order so that swapping the arguments returns bit-identical numbers, with
+Mag(X) and Mag(Y) solved on principal blocks of that zeta.
 """
 from __future__ import annotations
 
@@ -13,11 +15,12 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import (PointSet, _require_same_dim, dedupe, symmetric_difference_count,
-                   union_sets)
+from .core import (PointSet, _require_same_dim, _unique_rows,
+                   symmetric_difference_count, union_sets)
+from .core import dedupe  # noqa: F401 - bound for bench/tracer.py, unused here
 from .magnitude import (DEFAULT_EPS_SEP, DEFAULT_SUPPORT_TOL, CholeskyFailure,
-                        CoincidentPoints, MagnitudeResult, _gradient_rows,
-                        _min_offdiag, _solve_ones, magnitude, magnitude_support)
+                        CoincidentPoints, _gradient_rows, _solve_ones, magnitude,
+                        magnitude_support)
 
 NONNEG_TOL = 1e-10  # a weighting counts as nonnegative down to -NONNEG_TOL
 
@@ -106,47 +109,64 @@ class CrossPolytopeResult(NamedTuple):
     dense_gap: Optional[float] = None
 
 
-def _canonical_coords(ps: PointSet) -> PointSet:
-    # lexicographic row order (first coordinate most significant); +0.0
-    # normalizes any -0.0 so the ordering and the matrix bytes are unique
-    coords = ps.coords + 0.0
-    order = np.lexsort(coords.T[::-1])
-    return PointSet(coords[order])
+def _union_geometry(X: PointSet, Y: PointSet):
+    """(union, dists, x_rows, y_rows): the exact union X u Y in canonical
+    order (which depends only on the point set, so a swap changes nothing),
+    its one distance matrix, and the union row of each point of X and of Y."""
+    _require_same_dim(X, Y)
+    union, _, inverse = _unique_rows(np.concatenate([X.coords, Y.coords]))
+    return union, cdist(union, union), inverse[:len(X)], inverse[len(X):]
 
 
-def _solve_labeled(ps: PointSet, t: float, label: str) -> MagnitudeResult:
+def _first_rows(rows: np.ndarray) -> np.ndarray:
+    # distinct rows in first-occurrence order: the order magnitude() solves in
+    _, first = np.unique(rows, return_index=True)
+    return rows[np.sort(first)]
+
+
+def _weights(zeta: np.ndarray, label: str) -> np.ndarray:
+    """Weighting on a similarity matrix, a failed solve named by `label`."""
+    if zeta.size == 0:
+        return np.zeros(0)
     try:
-        return magnitude(ps, t)
+        return _solve_ones(zeta, False)[0]
     except CholeskyFailure as exc:
         raise CholeskyFailure(f"{label} solve failed: {exc}", pivot=exc.pivot,
                               condition_hint=exc.condition_hint) from None
 
 
-def _nonneg(res: MagnitudeResult) -> bool:
-    w = res.weighting.weights
-    return bool(w.size == 0 or w.min() >= -NONNEG_TOL)
+def _union_weights(dists, x_rows, y_rows, t):
+    """zeta of X u Y and the weightings of X u Y, X and Y on its blocks; X and Y
+    in first-occurrence order, so their sums are bitwise magnitude(., t)."""
+    zeta = np.exp(-t * dists)
+    fx, fy = _first_rows(x_rows), _first_rows(y_rows)
+    return (zeta, _weights(zeta, "union"), _weights(zeta[np.ix_(fx, fx)], "x"),
+            _weights(zeta[np.ix_(fy, fy)], "y"))
+
+
+def _combine(mag_u: float, mag_x: float, mag_y: float) -> tuple[float, float]:
+    # (distance, normalized); mag_x + mag_y keeps the swap bit-identical
+    distance = 2.0 * mag_u - (mag_x + mag_y)
+    return distance, (distance / mag_u if mag_u else 0.0)
 
 
 def mag_distance(X: PointSet, Y: PointSet, t: float) -> DistanceReport:
     """Magnitude distance with full diagnostics.
 
-    Exact symmetry: the union rows are put in canonical order before the
-    solve and the component magnitudes enter as mag_x + mag_y, so the
-    result is bit-identical under argument swap.
+    Exact symmetry: the union is solved in canonical row order and the
+    component magnitudes enter as mag_x + mag_y, so the result is
+    bit-identical under argument swap.
     """
-    _require_same_dim(X, Y)
     if t <= 0:
         raise ValueError("scale t must be positive")
-    union = _canonical_coords(union_sets(X, Y))
-    res_u = _solve_labeled(union, t, "union")
-    res_x = _solve_labeled(X, t, "x")
-    res_y = _solve_labeled(Y, t, "y")
-    distance = 2.0 * res_u.magnitude - (res_x.magnitude + res_y.magnitude)
-    normalized = distance / res_u.magnitude if len(union) else 0.0
+    union, dists, x_rows, y_rows = _union_geometry(X, Y)
+    _, w_u, w_x, w_y = _union_weights(dists, x_rows, y_rows, t)
+    mag_u, mag_x, mag_y = float(w_u.sum()), float(w_x.sum()), float(w_y.sum())
+    distance, normalized = _combine(mag_u, mag_x, mag_y)
+    nonneg = tuple(bool(w.size == 0 or w.min() >= -NONNEG_TOL) for w in (w_x, w_y, w_u))
     return DistanceReport(
-        t=float(t), mag_union=res_u.magnitude, mag_x=res_x.magnitude,
-        mag_y=res_y.magnitude, distance=distance, normalized=normalized,
-        nonneg_weightings=(_nonneg(res_x), _nonneg(res_y), _nonneg(res_u)),
+        t=float(t), mag_union=mag_u, mag_x=mag_x, mag_y=mag_y,
+        distance=distance, normalized=normalized, nonneg_weightings=nonneg,
         bound_2card=2.0 * len(union))
 
 
@@ -166,71 +186,52 @@ def multiscale_loss(X: PointSet, Y: PointSet, schedule: ScaleSchedule, epoch: in
     return total / len(active) if normalized_loss else total
 
 
-def _separation_check(stack: np.ndarray, dists: np.ndarray, n_fixed: int,
+def _separation_check(dists: np.ndarray, x_rows: np.ndarray, y_rows: np.ndarray,
                       eps_sep: float) -> None:
-    # every free row (index >= n_fixed) must clear eps_sep against everything
-    n = stack.shape[0]
-    sub = dists[n_fixed:, :]
-    mask = np.ones(sub.shape, dtype=bool)
-    rows = np.arange(n_fixed, n)
-    mask[np.arange(n - n_fixed), rows] = False
-    bad = (sub < eps_sep) & mask
+    # every generated point must clear eps_sep against every other point of
+    # the stack [X'; Y], X' being X's distinct points in first-occurrence
+    # order; pairs index that stack
+    stack = np.concatenate([_first_rows(x_rows), y_rows])
+    n_x = len(stack) - len(y_rows)
+    sub = dists[np.ix_(y_rows, stack)]
+    k = np.arange(len(y_rows))
+    sub[k, n_x + k] = np.inf  # a point's distance to itself
+    bad = sub < eps_sep
     if bad.any():
-        a, b = np.argwhere(bad)[0]
-        i = int(rows[a])
-        j = int(b)
-        d = float(dists[i, j])
-        if j >= n_fixed:
-            msg = f"generated points {i - n_fixed} and {j - n_fixed} are {d:.3e} apart"
+        a, j = (int(v) for v in np.argwhere(bad)[0])
+        d = float(sub[a, j])
+        if j >= n_x:
+            msg = f"generated points {a} and {j - n_x} are {d:.3e} apart"
         else:
-            msg = f"generated point {i - n_fixed} is {d:.3e} from data point {j}"
-        raise CoincidentPoints(i, j, d, message=msg + ", below the separation floor")
+            msg = f"generated point {a} is {d:.3e} from data point {j}"
+        raise CoincidentPoints(n_x + a, j, d, message=msg + ", below the separation floor")
 
 
 def _value_and_gradient(X: PointSet, Y: PointSet, t: float, normalized: bool,
                         eps_sep: float = DEFAULT_EPS_SEP):
-    """(distance, d distance / d Y) sharing the solves between both outputs.
+    """(distance, d distance / d Y) from the same solves as mag_distance.
 
     X is fixed data; the gradient is taken in Y's coordinates, one row per
-    point of Y (Y must be duplicate-free and separated from X).
+    point of Y (Y must be duplicate-free and separated from X). The value
+    is bitwise mag_distance(X, Y, t).distance, or .normalized.
     """
-    _require_same_dim(X, Y)
     if t <= 0:
         raise ValueError("scale t must be positive")
-    n_y = len(Y)
-    if n_y == 0:
-        # distance to the empty set is Mag(X), constant in zero variables
-        val = magnitude(X, t).magnitude if normalized is False else (
-            1.0 if len(X) else 0.0)
-        return val, np.zeros((0, X.dim))
-    xr, _ = dedupe(X)
-    n_x = len(xr)
-    stack = np.vstack([xr.coords, Y.coords])
-    dists = cdist(stack, stack)
-    _separation_check(stack, dists, n_x, eps_sep)
-    zeta = np.exp(-t * dists)
-    w_u, _, _, _ = _solve_ones(zeta, False)
+    union, dists, x_rows, y_rows = _union_geometry(X, Y)
+    _separation_check(dists, x_rows, y_rows, eps_sep)
+    zeta, w_u, w_x, w_y = _union_weights(dists, x_rows, y_rows, t)
     mag_u = float(w_u.sum())
-    rows = np.arange(n_x, n_x + n_y)
-    grad_u = _gradient_rows(stack, dists, zeta, w_u, t, rows)
-    # Y's own solve reuses the lower-right block
-    zeta_y = zeta[n_x:, n_x:]
-    if n_y == 1:
-        w_y = np.ones(1)
-        mag_y = 1.0
-        grad_y = np.zeros((1, Y.dim))
-    else:
-        w_y, _, _, _ = _solve_ones(zeta_y, False)
-        mag_y = float(w_y.sum())
-        grad_y = _gradient_rows(Y.coords, dists[n_x:, n_x:], zeta_y, w_y, t,
-                                np.arange(n_y))
-    mag_x = magnitude(xr, t).magnitude if n_x else 0.0
-    dist = 2.0 * mag_u - (mag_x + mag_y)
+    dist, value = _combine(mag_u, float(w_x.sum()), float(w_y.sum()))
+    grad_u = _gradient_rows(union, dists, zeta, w_u, t, y_rows)
+    # Y is duplicate-free, so w_y is ordered like y_rows and Y's own rows
+    y_block = np.ix_(y_rows, y_rows)
+    grad_y = _gradient_rows(Y.coords, dists[y_block], zeta[y_block], w_y, t,
+                            np.arange(len(Y)))
     grad = 2.0 * grad_u - grad_y
     if not normalized:
         return dist, grad
     # quotient rule: d~ = d / mag_u, d(d~)/dy = (grad * mag_u - d * grad_u) / mag_u^2
-    return dist / mag_u, (grad * mag_u - dist * grad_u) / mag_u**2
+    return value, (grad * mag_u - dist * grad_u) / mag_u**2
 
 
 def mag_distance_gradient(X: PointSet, Y: PointSet, t: float,
@@ -249,11 +250,8 @@ def magnitude_equivalent(X: PointSet, Y: PointSet, t: float,
                          tol: float = DEFAULT_SUPPORT_TOL) -> bool:
     """True iff X and Y carry nonzero weight on the same points at scale t."""
     _require_same_dim(X, Y)
-    sup_x = magnitude_support(X, t, tol)
-    sup_y = magnitude_support(Y, t, tol)
-    keys_x = {(row + 0.0).tobytes() for row in sup_x.coords}
-    keys_y = {(row + 0.0).tobytes() for row in sup_y.coords}
-    return keys_x == keys_y
+    return symmetric_difference_count(magnitude_support(X, t, tol),
+                                      magnitude_support(Y, t, tol)) == 0
 
 
 def check_triangle(X: PointSet, Y: PointSet, Z: PointSet, t: float) -> float:

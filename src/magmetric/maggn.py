@@ -115,17 +115,8 @@ def init_generator(rng: RngState, layer_dims) -> Generator:
     return Generator(dims, weights, biases)
 
 
-def _forward_array(gen: Generator, z: np.ndarray) -> np.ndarray:
-    h = z
-    last = len(gen.weights) - 1
-    for l, (w, b) in enumerate(zip(gen.weights, gen.biases)):
-        h = h @ w + b
-        if l != last:
-            h = np.tanh(h)
-    return h
-
-
-def _forward_cached(gen: Generator, z: np.ndarray):
+def _forward(gen: Generator, z: np.ndarray):
+    """(output, acts): acts[l] is the input of layer l, acts[-1] the output."""
     acts = [z]
     h = z
     last = len(gen.weights) - 1
@@ -159,7 +150,7 @@ def forward(gen: Generator, Z: PointSet) -> PointSet:
     """Push a batch of reference points through the network."""
     if Z.dim != gen.z_dim:
         raise DimensionMismatch(f"reference dim {Z.dim} vs z_dim {gen.z_dim}")
-    return PointSet(_forward_array(gen, Z.coords))
+    return PointSet(_forward(gen, Z.coords)[0])
 
 
 def train(gen: Generator, data: PointSet, config: TrainConfig):
@@ -201,7 +192,7 @@ def train(gen: Generator, data: PointSet, config: TrainConfig):
         for _ in range(2):  # one retry with a fresh reference batch
             z = rng.normals(config.batch_gen * gen.z_dim).reshape(
                 config.batch_gen, gen.z_dim)
-            out, acts = _forward_cached(gen, z)
+            out, acts = _forward(gen, z)
             try:
                 loss = 0.0
                 grad_out = np.zeros_like(out)
@@ -246,7 +237,7 @@ def sample(gen: Generator, rng: RngState, n: int) -> PointSet:
     if n < 1:
         raise ValueError("n must be >= 1")
     z = rng.normals(n * gen.z_dim).reshape(n, gen.z_dim)
-    return PointSet(_forward_array(gen, z))
+    return PointSet(_forward(gen, z)[0])
 
 
 def save_checkpoint(gen: Generator, path) -> None:

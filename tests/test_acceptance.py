@@ -18,7 +18,7 @@ from magmetric.experiments import (contamination_count, highdim_config,
                                    write_rows)
 from magmetric.magnitude import magnitude, magnitude_gradient
 from magmetric.maggn import (Generator, TrainConfig, forward, init_generator,
-                             sample, train, _backward, _forward_cached)
+                             sample, train, _backward, _forward)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -227,7 +227,7 @@ def test_08_gradients():
     gen = Generator(layer_dims=(1, 1), weights=[np.array([[0.8]])],
                     biases=[np.array([0.1])])
     zs = RngState(3).normals(4).reshape(4, 1)
-    out, acts = _forward_cached(gen, zs)
+    out, acts = _forward(gen, zs)
     _, dY = _value_and_gradient(data, PointSet(out), 0.9, True, 1e-9)
     g_w, g_b = _backward(gen, acts, dY)
     worst_e2e = 0.0

@@ -8,7 +8,7 @@ import pytest
 from magmetric.core import (DimensionMismatch, PointCsvError, PointSet,
                             RngState, dedupe, pairwise_distances,
                             read_point_csv, sample_gaussian,
-                            similarity_matrix, symmetric_difference_count,
+                            symmetric_difference_count,
                             union_sets, write_point_csv)
 
 # Known-answer outputs for the 64-bit counter generator, seed 0.
@@ -110,15 +110,6 @@ def test_pairwise_distances_matches_norms():
     assert np.all(np.diag(d) == 0.0)
 
 
-def test_similarity_matrix_values():
-    pts = PointSet([[0.0], [1.0]])
-    sim = similarity_matrix(pts, 2.0)
-    assert sim.scale == 2.0
-    assert sim.entries[0, 1] == pytest.approx(math.exp(-2.0), rel=1e-15)
-    with pytest.raises(ValueError):
-        similarity_matrix(pts, 0.0)
-
-
 def test_dedupe_exact():
     pts = PointSet([[0.0, 1.0], [0.0, 1.0], [2.0, 2.0], [0.0, 1.0]])
     uniq, mult = dedupe(pts)
@@ -134,15 +125,18 @@ def test_dedupe_signed_zero_collapses():
     assert len(uniq) == 1 and mult.tolist() == [2]
 
 
-def test_dedupe_tolerance_greedy():
-    pts = PointSet([[0.0], [0.05], [1.0]])
-    uniq, mult = dedupe(pts, tol=0.1)
-    assert len(uniq) == 2
-    assert mult.tolist() == [2, 1]
-    # idempotent: deduping the result changes nothing
-    again, mult2 = dedupe(uniq, tol=0.1)
-    assert np.array_equal(again.coords, uniq.coords)
-    assert mult2.tolist() == [1, 1]
+def test_dedupe_matches_dict_reference():
+    # rounding to a coarse grid gives many duplicates and, from small
+    # negatives, -0.0 entries; Python floats hash -0.0 and 0.0 alike
+    pts = PointSet(np.round(sample_gaussian(RngState(7), 60, 2).coords))
+    groups = {}
+    for i, row in enumerate(pts.coords):
+        groups.setdefault(tuple(row), []).append(i)
+    uniq, mult = dedupe(pts)
+    firsts = [g[0] for g in groups.values()]
+    assert uniq.coords.tobytes() == pts.coords[firsts].tobytes()
+    assert mult.tolist() == [len(g) for g in groups.values()]
+    assert len(firsts) < 20 and (np.signbit(pts.coords) & (pts.coords == 0)).any()
 
 
 def test_dedupe_empty():

@@ -10,7 +10,7 @@ from magmetric.distance import (ScaleSchedule, bound_check, check_triangle,
                                 mag_distance, mag_distance_gradient,
                                 magnitude_equivalent, multiscale_loss,
                                 _value_and_gradient)
-from magmetric.magnitude import magnitude
+from magmetric.magnitude import CoincidentPoints, magnitude
 
 
 def _pair(seed, n=15, dim=3, shift=1.0):
@@ -157,6 +157,21 @@ def test_distance_gradient_matches_fd(normalized):
         assert val == pytest.approx(want, abs=1e-10)
         fd = _fd_grad(x, y, t, normalized)
         assert np.max(np.abs(grad - fd)) < 1e-5 * max(1.0, np.abs(fd).max())
+
+
+@pytest.mark.parametrize("y_rows, pair", [
+    ([[2.0, 2.0], [1.0, 0.0]], (4, 1)),              # y_1 equals data point 1
+    ([[2.0, 2.0], [3.0, 1.0], [2.0, 2.0]], (3, 5)),  # y_0 equals y_2
+    ([[2.0, 2.0], [1e-12, 1.0]], (4, 2)),            # y_1 is 1e-12 from data point 2
+])
+def test_training_path_coincidence_errors(y_rows, pair):
+    # X is duplicate-free, so a pair indexes the stack [X; Y] directly
+    x = PointSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for normalized in (True, False):
+        with pytest.raises(CoincidentPoints, match="separation floor") as info:
+            _value_and_gradient(x, PointSet(y_rows), 0.9, normalized)
+        assert info.value.pair == pair
+        assert info.value.distance < 1e-11
 
 
 def test_public_gradient_wrapper():

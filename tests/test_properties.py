@@ -1,0 +1,83 @@
+"""Bitwise invariants of the shared union core, on random sets with injected
+duplicates and signed zeros (hypothesis, derandomized)."""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from magmetric.core import PointSet, RngState, sample_gaussian
+from magmetric.distance import _value_and_gradient, mag_distance
+from magmetric.magnitude import magnitude
+
+SCALES = st.sampled_from((0.1, 0.7, 3.0))
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def _flip_zeros(row):
+    # the same point with the sign of every zero coordinate flipped
+    return np.where(row == 0.0, -row, row)
+
+
+@st.composite
+def pairs(draw, training=False):
+    """(X, Y, X', Y'): X' and Y' are X and Y without their injected copies.
+
+    Y' may share points with X'. Copies repeat a set's own points, with the
+    sign of zero coordinates flipped. With training=True, Y' shares nothing
+    with X' and only X gets copies, so Y stays duplicate-free and apart
+    from X.
+    """
+    dim = draw(st.integers(1, 4))
+    n_x, n_y = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    pts = sample_gaussian(RngState(draw(st.integers(0, 2**32))), n_x + n_y, dim)
+    pts = pts.coords.copy()
+    for i in draw(st.lists(st.integers(0, n_x + n_y - 1), max_size=4)):
+        pts[i, 0] = 0.0
+    base_x, base_y = pts[:n_x], pts[n_x:]
+    if not training:
+        shared = draw(st.lists(st.integers(0, n_x - 1), max_size=3))
+        base_y = np.vstack([base_y] + [_flip_zeros(base_x[i]) for i in shared])
+    x, y = [base_x], [base_y]
+    for i, into_x in draw(st.lists(st.tuples(st.integers(0, 20),
+                                             st.just(True) if training
+                                             else st.booleans()), max_size=5)):
+        base, out = (base_x, x) if into_x else (base_y, y)
+        out.append(_flip_zeros(base[i % len(base)])[None, :])
+    return (PointSet(np.vstack(x)), PointSet(np.vstack(y)),
+            PointSet(base_x), PointSet(base_y))
+
+
+def _bits(*values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+def _fields(rep):
+    return _bits(rep.distance, rep.normalized, rep.mag_union)
+
+
+@SETTINGS
+@given(pairs(), SCALES)
+def test_distance_symmetric_bitwise(sets, t):
+    x, y, _, _ = sets
+    xy, yx = mag_distance(x, y, t), mag_distance(y, x, t)
+    assert _fields(xy) == _fields(yx)
+    assert _bits(xy.mag_x, xy.mag_y) == _bits(yx.mag_y, yx.mag_x)
+
+
+@SETTINGS
+@given(pairs(), SCALES)
+def test_component_magnitudes_are_magnitude(sets, t):
+    x, y, base_x, base_y = sets
+    rep = mag_distance(x, y, t)
+    assert _bits(rep.mag_x, rep.mag_y) == _bits(magnitude(x, t).magnitude,
+                                                 magnitude(y, t).magnitude)
+    # duplicates change nothing, bit for bit
+    assert _fields(rep) == _fields(mag_distance(base_x, base_y, t))
+
+
+@SETTINGS
+@given(pairs(training=True), SCALES)
+def test_training_value_is_mag_distance(sets, t):
+    x, y, _, _ = sets
+    rep = mag_distance(x, y, t)
+    assert _bits(_value_and_gradient(x, y, t, True)[0]) == _bits(rep.normalized)
+    assert _bits(_value_and_gradient(x, y, t, False)[0]) == _bits(rep.distance)
