@@ -13,14 +13,13 @@ import json
 import os
 import sys
 
-from .core import (DimensionMismatch, PointCsvError, RngState, read_point_csv,
-                   write_point_csv)
+from .core import DimensionMismatch, RngState, read_point_csv, write_point_csv
 from .distance import (ScaleSchedule, bound_check, cross_polytope_counterexample,
                        mag_distance)
 from .experiments import (config_as_dict, config_from_dict, run_study,
                           study_names, summary_path, write_rows, write_summary)
-from .magnitude import (CholeskyFailure, CoincidentPoints, EigenFailure,
-                        magnitude, magnitude_neumann)
+from .magnitude import (DEFAULT_SUPPORT_TOL, CholeskyFailure, CoincidentPoints,
+                        EigenFailure, magnitude, magnitude_neumann)
 from .maggn import (TrainConfig, init_generator, load_checkpoint, sample,
                     save_checkpoint, train)
 
@@ -32,66 +31,81 @@ EXIT_SHAPE = 4
 FULL_VERIFY_MAX_DIM = 1000  # dense cross-check stays desk-sized
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(float(value), ".17g")
+    return str(value)
 
 
-def _bool(x) -> str:
-    return "true" if x else "false"
-
-
-def _print_json(command: str, seed: int, params: dict, results) -> None:
-    print(json.dumps({"command": command, "seed": seed, "params": params,
-                      "results": results}, sort_keys=True))
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in text.split(",") if p.strip() != "")
-    except ValueError:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}") from None
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(",") if p.strip() != "")
-    except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def cmd_magnitude(args) -> int:
+def _echo(args, **fields) -> None:
+    """One `key=value` text line; nothing in --json mode."""
     if not args.json:
-        print(f"seed={args.seed}")
+        print(" ".join(f"{k}={_text(v)}" for k, v in fields.items()))
+
+
+def _report(args, command: str, seed: int, params: dict, results,
+            lines=None) -> None:
+    """Print the JSON envelope, or one text line per dict in `lines`
+    (default: the list of result dicts itself)."""
+    if args.json:
+        print(json.dumps({"command": command, "seed": seed, "params": params,
+                          "results": results}, sort_keys=True))
+    else:
+        for line in results if lines is None else lines:
+            _echo(args, **line)
+
+
+def _list(kind):
+    """argparse type: a comma-separated list of `kind` values, as a tuple."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(p) for p in text.split(",") if p.strip() != "")
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, got {text!r}") from None
+    return parse
+
+
+# experiment flags that override the StudyConfig field of the same name
+STUDY_FLAGS = {
+    "seed": (int, "override the config seed (default 42)"),
+    "dims": (_list(int), "comma-separated dims override"),
+    "n_per_set": (int, None),
+    "trials": (int, None),
+    "scales": (_list(float), "comma-separated fixed scales"),
+    "adaptive_scales": (_list(str), "comma-separated subset of inv_d,inv_sqrt_d"),
+    "shift_mode": (str, "fixed_norm or per_coordinate"),
+    "shifts": (_list(float), "comma-separated shift magnitudes"),
+    "epsilons": (_list(float), "comma-separated contamination rates"),
+    "radii": (_list(float), "comma-separated outlier radii (increasing)"),
+}
+
+
+def cmd_magnitude(args) -> None:
+    _echo(args, seed=args.seed)
     points = read_point_csv(args.input, skip_header=args.skip_header)
     results = []
     for t in args.t:
         res = magnitude(points, t)
         weights = res.weighting.weights
-        nonneg = bool(weights.size == 0 or weights.min() >= -1e-10)
         entry = {"t": t, "magnitude": res.magnitude, "residual": res.residual,
-                 "nonneg_weighting": nonneg}
-        line = (f"t={_fmt(t)} magnitude={_fmt(res.magnitude)} "
-                f"residual={_fmt(res.residual)} nonneg_weighting={_bool(nonneg)}")
+                 "nonneg_weighting": bool(weights.size == 0 or
+                                          weights.min() >= -DEFAULT_SUPPORT_TOL)}
         if args.neumann:
             est = magnitude_neumann(points, t)
-            gap = res.magnitude - est.estimate
-            entry.update({"neumann": est.estimate, "neumann_gap": gap,
+            entry.update({"neumann": est.estimate,
+                          "neumann_gap": res.magnitude - est.estimate,
                           "neumann_reliable": est.reliable})
-            line += (f" neumann={_fmt(est.estimate)} neumann_gap={_fmt(gap)} "
-                     f"neumann_reliable={_bool(est.reliable)}")
         results.append(entry)
-        if not args.json:
-            print(line)
-    if args.json:
-        _print_json("magnitude", args.seed,
-                    {"input": args.input, "t": list(args.t),
-                     "neumann": bool(args.neumann)}, results)
-    return EXIT_OK
+    _report(args, "magnitude", args.seed,
+            {"input": args.input, "t": list(args.t), "neumann": args.neumann},
+            results)
 
 
-def cmd_distance(args) -> int:
-    if not args.json:
-        print(f"seed={args.seed}")
+def cmd_distance(args) -> None:
+    _echo(args, seed=args.seed)
     x = read_point_csv(args.x, skip_header=args.skip_header)
     y = read_point_csv(args.y, skip_header=args.skip_header)
     results = []
@@ -99,54 +113,35 @@ def cmd_distance(args) -> int:
         rep = mag_distance(x, y, t)
         entry = {"t": t, "distance": rep.distance, "mag_union": rep.mag_union,
                  "mag_x": rep.mag_x, "mag_y": rep.mag_y}
-        line = (f"t={_fmt(t)} distance={_fmt(rep.distance)} "
-                f"mag_union={_fmt(rep.mag_union)} mag_x={_fmt(rep.mag_x)} "
-                f"mag_y={_fmt(rep.mag_y)}")
         if args.normalized:
             entry["normalized"] = rep.normalized
-            line += f" normalized={_fmt(rep.normalized)}"
         if args.bound_check:
             chk = bound_check(x, y, t)
             entry.update({"applicable": chk.applicable, "holds": chk.holds})
-            line += f" applicable={_bool(chk.applicable)} holds={_bool(chk.holds)}"
         results.append(entry)
-        if not args.json:
-            print(line)
-    if args.json:
-        _print_json("distance", args.seed,
-                    {"x": args.x, "y": args.y, "t": list(args.t),
-                     "normalized": bool(args.normalized),
-                     "bound_check": bool(args.bound_check)}, results)
-    return EXIT_OK
+    _report(args, "distance", args.seed,
+            {"x": args.x, "y": args.y, "t": list(args.t),
+             "normalized": args.normalized, "bound_check": args.bound_check},
+            results)
 
 
-def cmd_counterexample(args) -> int:
+def cmd_counterexample(args) -> None:
     if args.full_verify and args.dim > FULL_VERIFY_MAX_DIM:
         raise ValueError(f"--full-verify supports dim <= {FULL_VERIFY_MAX_DIM}")
-    if not args.json:
-        print(f"seed={args.seed}")
+    _echo(args, seed=args.seed)
     res = cross_polytope_counterexample(args.dim, args.t,
                                         full_verify=args.full_verify)
-    violated = res.slack < 0
-    entry = {"dim": args.dim, "t": args.t, "gap": res.gap, "slack": res.slack,
-             "triangle_violated": violated}
-    lines = [f"dim={args.dim} t={_fmt(args.t)} gap={_fmt(res.gap)} "
-             f"slack={_fmt(res.slack)} triangle_violated={_bool(violated)}"]
+    lines = [{"dim": args.dim, "t": args.t, "gap": res.gap, "slack": res.slack,
+              "triangle_violated": res.slack < 0}]
     if args.full_verify:
-        agreement = abs(res.dense_gap - res.gap)
-        entry.update({"dense_gap": res.dense_gap, "agreement": agreement})
-        lines.append(f"dense_gap={_fmt(res.dense_gap)} agreement={_fmt(agreement)}")
-    if args.json:
-        _print_json("counterexample", args.seed,
-                    {"dim": args.dim, "t": args.t,
-                     "full_verify": bool(args.full_verify)}, entry)
-    else:
-        for line in lines:
-            print(line)
-    return EXIT_OK
+        lines.append({"dense_gap": res.dense_gap,
+                      "agreement": abs(res.dense_gap - res.gap)})
+    _report(args, "counterexample", args.seed,
+            {"dim": args.dim, "t": args.t, "full_verify": args.full_verify},
+            {k: v for line in lines for k, v in line.items()}, lines)
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args) -> None:
     file_data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -156,64 +151,34 @@ def cmd_experiment(args) -> int:
                 raise ValueError(f"config file {args.config}: {exc}") from None
         if not isinstance(file_data, dict):
             raise ValueError("config file must hold a JSON object")
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.dims is not None:
-        overrides["dims"] = _int_list(args.dims)
-    if args.n_per_set is not None:
-        overrides["n_per_set"] = args.n_per_set
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.scales is not None:
-        overrides["scales"] = _float_list(args.scales)
-    if args.adaptive_scales is not None:
-        overrides["adaptive_scales"] = tuple(
-            p for p in args.adaptive_scales.split(",") if p.strip() != "")
-    if args.shift_mode is not None:
-        overrides["shift_mode"] = args.shift_mode
-    if args.shifts is not None:
-        overrides["shifts"] = _float_list(args.shifts)
-    if args.epsilons is not None:
-        overrides["epsilons"] = _float_list(args.epsilons)
-    if args.radii is not None:
-        overrides["radii"] = _float_list(args.radii)
-    overrides["output_path"] = args.out
-    cfg = config_from_dict(args.study, file_data, **overrides)
+    overrides = {name: getattr(args, name) for name in STUDY_FLAGS
+                 if getattr(args, name) is not None}
+    cfg = config_from_dict(args.study, file_data, **overrides,
+                           output_path=args.out)
     cfg_dict = config_as_dict(cfg)
-    if not args.json:
-        print(f"seed={cfg.seed}")
-        print(f"config={json.dumps(cfg_dict, sort_keys=True)}")
+    _echo(args, seed=cfg.seed)
+    _echo(args, config=json.dumps(cfg_dict, sort_keys=True))
     rows = run_study(args.study, cfg)
     write_rows(cfg.output_path, rows)
     spath = summary_path(cfg.output_path)
     write_summary(spath, rows)
-    failed = sum(1 for r in rows if r.error)
-    if args.json:
-        _print_json("experiment", cfg.seed,
-                    {"study": args.study, "out": args.out,
-                     "config_file": args.config},
-                    {"rows": len(rows), "failed_rows": failed,
-                     "csv": cfg.output_path, "summary": spath,
-                     "config": cfg_dict})
-    else:
-        print(f"study={args.study} rows={len(rows)} failed_rows={failed} "
-              f"csv={cfg.output_path} summary={spath}")
-    return EXIT_OK
+    results = {"rows": len(rows), "failed_rows": sum(1 for r in rows if r.error),
+               "csv": cfg.output_path, "summary": spath}
+    _report(args, "experiment", cfg.seed,
+            {"study": args.study, "out": args.out, "config_file": args.config},
+            {**results, "config": cfg_dict}, [{"study": args.study, **results}])
 
 
-def cmd_maggn_train(args) -> int:
+def cmd_maggn_train(args) -> None:
     schedule = ScaleSchedule.parse(args.schedule)
-    if not args.json:
-        print(f"seed={args.seed}")
+    _echo(args, seed=args.seed)
     if args.epochs < schedule.last_epoch:
         print(f"warning: schedule entry at epoch {schedule.last_epoch} never "
               f"activates within --epochs {args.epochs}", file=sys.stderr)
-    layer_dims = _int_list(args.layer_dims)
     data = read_point_csv(args.data, skip_header=args.skip_header)
     os.makedirs(args.out, exist_ok=True)
     rng = RngState(args.seed)
-    gen = init_generator(rng.derive(0), layer_dims)
+    gen = init_generator(rng.derive(0), args.layer_dims)
     config = TrainConfig(schedule=schedule, epochs=args.epochs,
                          batch_real=args.batch_real, batch_gen=args.batch_gen,
                          learning_rate=args.lr,
@@ -223,42 +188,31 @@ def cmd_maggn_train(args) -> int:
     log_path = os.path.join(args.out, "train_log.csv")
     save_checkpoint(gen, ckpt)
     log.to_csv(log_path)
-    final_loss = log.rows[-1].loss if log.rows else float("nan")
-    error_epochs = sum(1 for r in log.rows if r.error)
-    if args.json:
-        _print_json("maggn-train", args.seed,
-                    {"data": args.data, "schedule": args.schedule,
-                     "epochs": args.epochs, "out": args.out,
-                     "layer_dims": list(layer_dims), "lr": args.lr},
-                    {"final_loss": final_loss, "error_epochs": error_epochs,
-                     "checkpoint": ckpt, "train_log": log_path})
-    else:
-        print(f"epochs={args.epochs} final_loss={_fmt(final_loss)} "
-              f"error_epochs={error_epochs} checkpoint={ckpt} train_log={log_path}")
-    return EXIT_OK
+    results = {"final_loss": log.rows[-1].loss if log.rows else float("nan"),
+               "error_epochs": sum(1 for r in log.rows if r.error),
+               "checkpoint": ckpt, "train_log": log_path}
+    _report(args, "maggn-train", args.seed,
+            {"data": args.data, "schedule": args.schedule,
+             "epochs": args.epochs, "out": args.out,
+             "layer_dims": list(args.layer_dims), "lr": args.lr},
+            results, [{"epochs": args.epochs, **results}])
 
 
-def cmd_maggn_sample(args) -> int:
-    if not args.json:
-        print(f"seed={args.seed}")
+def cmd_maggn_sample(args) -> None:
+    _echo(args, seed=args.seed)
     ckpt = os.path.join(args.out, "checkpoint.json")
     gen = load_checkpoint(ckpt)
     rng = RngState(args.seed).derive(2)
     points = sample(gen, rng, args.n)
     out_csv = os.path.join(args.out, "samples.csv")
     write_point_csv(out_csv, points)
-    if args.json:
-        _print_json("maggn-sample", args.seed,
-                    {"out": args.out, "n": args.n},
-                    {"samples": out_csv, "dim": gen.data_dim,
-                     "checkpoint": ckpt})
-    else:
-        print(f"n={args.n} dim={gen.data_dim} samples={out_csv}")
-    return EXIT_OK
+    results = {"dim": gen.data_dim, "samples": out_csv}
+    _report(args, "maggn-sample", args.seed, {"out": args.out, "n": args.n},
+            {**results, "checkpoint": ckpt}, [{"n": args.n, **results}])
 
 
-def _add_common(parser, with_seed_default=42):
-    parser.add_argument("--seed", type=int, default=with_seed_default,
+def _add_common(parser):
+    parser.add_argument("--seed", type=int, default=42,
                         help="deterministic seed (echoed in output)")
     parser.add_argument("--json", action="store_true",
                         help="emit one JSON object instead of text lines")
@@ -307,19 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--study", required=True, choices=study_names())
     p_exp.add_argument("--out", required=True, help="output CSV path")
     p_exp.add_argument("--config", help="JSON file of config overrides")
-    p_exp.add_argument("--seed", type=int, default=None,
-                       help="override the config seed (default 42)")
-    p_exp.add_argument("--dims", help="comma-separated dims override")
-    p_exp.add_argument("--n-per-set", type=int, dest="n_per_set")
-    p_exp.add_argument("--trials", type=int)
-    p_exp.add_argument("--scales", help="comma-separated fixed scales")
-    p_exp.add_argument("--adaptive-scales", dest="adaptive_scales",
-                       help="comma-separated subset of inv_d,inv_sqrt_d")
-    p_exp.add_argument("--shift-mode", dest="shift_mode",
-                       choices=("fixed_norm", "per_coordinate"))
-    p_exp.add_argument("--shifts", help="comma-separated shift magnitudes")
-    p_exp.add_argument("--epsilons", help="comma-separated contamination rates")
-    p_exp.add_argument("--radii", help="comma-separated outlier radii (increasing)")
+    for name, (kind, help_text) in STUDY_FLAGS.items():
+        p_exp.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
+                           help=help_text)
     p_exp.add_argument("--json", action="store_true")
     p_exp.set_defaults(func=cmd_experiment)
 
@@ -332,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="scale schedule 't1@e1,t2@e2,...', e.g. 0.5@1,1.5@100,3.0@200")
     p_train.add_argument("--epochs", type=int, default=300)
     p_train.add_argument("--out", required=True, help="output directory")
-    p_train.add_argument("--layer-dims", dest="layer_dims", default="2,32,32,2",
+    p_train.add_argument("--layer-dims", dest="layer_dims", type=_list(int),
+                         default="2,32,32,2",
                          help="comma-separated MLP sizes, z_dim first")
     p_train.add_argument("--lr", type=float, default=1e-3)
     p_train.add_argument("--batch-real", type=int, dest="batch_real", default=64)
@@ -357,10 +302,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except PointCsvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        args.func(args)
     except DimensionMismatch as exc:
         print(f"error: dimension mismatch: {exc}", file=sys.stderr)
         return EXIT_SHAPE
@@ -370,6 +312,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK
 
 
 def entry() -> None:

@@ -180,6 +180,12 @@ def _unique_rows(coords: np.ndarray):
     return c[first], first, inverse.ravel()
 
 
+def _is_list_of(value, kind) -> bool:
+    """True iff `value` is a list or tuple of `kind` items, bools excluded."""
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(v, kind) and not isinstance(v, bool) for v in value)
+
+
 def _require_same_dim(X: PointSet, Y: PointSet) -> None:
     if X.dim != Y.dim:
         raise DimensionMismatch(f"dim {X.dim} vs dim {Y.dim}")

@@ -22,8 +22,6 @@ from .magnitude import (DEFAULT_EPS_SEP, DEFAULT_SUPPORT_TOL, CholeskyFailure,
                         CoincidentPoints, _gradient_rows, _solve_ones, magnitude,
                         magnitude_support)
 
-NONNEG_TOL = 1e-10  # a weighting counts as nonnegative down to -NONNEG_TOL
-
 
 @dataclass(frozen=True)
 class DistanceReport:
@@ -163,7 +161,8 @@ def mag_distance(X: PointSet, Y: PointSet, t: float) -> DistanceReport:
     _, w_u, w_x, w_y = _union_weights(dists, x_rows, y_rows, t)
     mag_u, mag_x, mag_y = float(w_u.sum()), float(w_x.sum()), float(w_y.sum())
     distance, normalized = _combine(mag_u, mag_x, mag_y)
-    nonneg = tuple(bool(w.size == 0 or w.min() >= -NONNEG_TOL) for w in (w_x, w_y, w_u))
+    nonneg = tuple(bool(w.size == 0 or w.min() >= -DEFAULT_SUPPORT_TOL)
+                   for w in (w_x, w_y, w_u))
     return DistanceReport(
         t=float(t), mag_union=mag_u, mag_x=mag_x, mag_y=mag_y,
         distance=distance, normalized=normalized, nonneg_weightings=nonneg,

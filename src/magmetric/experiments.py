@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -16,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .baselines import KernelSpec, mmd_squared, sliced_wasserstein
-from .core import PointSet, RngState, sample_gaussian
+from .core import PointSet, RngState, _is_list_of, sample_gaussian
 from .distance import mag_distance
 from .magnitude import CholeskyFailure
 
@@ -35,6 +36,12 @@ _STUDY_SALT = {"tsweep": 1, "highdim": 2, "outlier2d": 3, "huber": 4}
 def fmt17(x) -> str:
     """Canonical float rendering: 17 significant digits, round-trip exact."""
     return format(float(x), ".17g")
+
+
+# StudyConfig list fields: accepted item type, stored item type
+_LIST_FIELDS = {"dims": (numbers.Integral, int), "scales": (numbers.Real, float),
+                "adaptive_scales": (str, str), "shifts": (numbers.Real, float),
+                "epsilons": (numbers.Real, float), "radii": (numbers.Real, float)}
 
 
 @dataclass(frozen=True)
@@ -60,12 +67,14 @@ class StudyConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "scales", tuple(float(t) for t in self.scales))
-        object.__setattr__(self, "adaptive_scales", tuple(self.adaptive_scales))
-        object.__setattr__(self, "shifts", tuple(float(s) for s in self.shifts))
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
+        for name in ("seed", "n_per_set", "trials"):
+            if not _is_list_of([getattr(self, name)], numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name, (kind, cast) in _LIST_FIELDS.items():
+            value = getattr(self, name)
+            if not _is_list_of(value, kind):
+                raise ValueError(f"{name} must be a list of {cast.__name__}, got {value!r}")
+            object.__setattr__(self, name, tuple(cast(v) for v in value))
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError("dims must be positive")
         if self.n_per_set < 1:

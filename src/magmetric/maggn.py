@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DimensionMismatch, PointSet, RngState
+from .core import DimensionMismatch, PointSet, RngState, _is_list_of
 from .distance import ScaleSchedule, _value_and_gradient
 from .magnitude import CoincidentPoints
 
@@ -259,15 +259,22 @@ def save_checkpoint(gen: Generator, path) -> None:
 def load_checkpoint(path) -> Generator:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("checkpoint must hold a JSON object")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
-    dims = tuple(int(d) for d in payload["layer_dims"])
-    layers = payload["layers"]
+    dims, layers = payload.get("layer_dims"), payload.get("layers")
+    if not _is_list_of(dims, int) or not isinstance(layers, list):
+        raise ValueError("checkpoint needs an integer list 'layer_dims' and a list 'layers'")
+    dims = tuple(dims)
     if len(dims) < 2 or len(layers) != len(dims) - 1:
         raise ValueError("checkpoint layer count does not match layer_dims")
     weights, biases = [], []
     for (fan_in, fan_out), layer in zip(zip(dims, dims[1:]), layers):
+        if not (isinstance(layer, dict) and _is_list_of(layer.get("weights"), (int, float))
+                and _is_list_of(layer.get("biases"), (int, float))):
+            raise ValueError("each checkpoint layer needs number lists 'weights' and 'biases'")
         w = np.asarray(layer["weights"], dtype=np.float64)
         b = np.asarray(layer["biases"], dtype=np.float64)
         if w.size != fan_in * fan_out or b.size != fan_out:

@@ -18,7 +18,7 @@ from .core import PointSet, dedupe, pairwise_distances
 
 SOLVER_RESIDUAL_TOL = 1e-8
 DEFAULT_EPS_SEP = 1e-9       # below this separation, distance gradients blow up
-DEFAULT_SUPPORT_TOL = 1e-10  # |weight| <= tol counts as zero support
+DEFAULT_SUPPORT_TOL = 1e-10  # |w| <= tol counts as zero; w >= -tol as nonnegative
 JITTER_COEFF = 1e-12         # opt-in ridge is JITTER_COEFF * n on the diagonal
 
 

@@ -219,3 +219,94 @@ def test_maggn_sample_without_checkpoint(tmp_path, capsys):
     code, _, err = run_cli(capsys, "maggn", "sample", "--out",
                            str(tmp_path / "empty"))
     assert code == 2
+
+
+def _text_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def _text_fields(out):
+    """key=value tokens of each report line (echo lines dropped)."""
+    return [dict(tok.split("=", 1) for tok in line.split())
+            for line in out.splitlines()
+            if not line.startswith(("seed=", "config="))]
+
+
+def _report_cases(tmp_path, csvs):
+    x, y = csvs
+    target = str(tmp_path / "target.csv")
+    write_point_csv(target, sample_gaussian(RngState(9), 32, 2, mean=2.0, std=0.3))
+    run = str(tmp_path / "run")
+    return [  # argv, text-only keys, JSON-only keys
+        (["magnitude", "--input", x, "--t", "0.5", "--t", "2.0", "--neumann"],
+         set(), set()),
+        (["distance", "--x", x, "--y", y, "--t", "0.7", "--normalized",
+          "--bound-check"], set(), set()),
+        (["counterexample", "--dim", "10", "--full-verify"], set(), set()),
+        (["experiment", "--study", "tsweep", "--out", str(tmp_path / "e.csv"),
+          "--dims", "3", "--trials", "1", "--n-per-set", "20", "--shifts", "1",
+          "--scales", "0.3"], {"study"}, {"config"}),
+        (["maggn", "train", "--data", target, "--schedule", "0.5@1", "--epochs",
+          "2", "--out", run, "--batch-real", "16", "--batch-gen", "16"],
+         {"epochs"}, set()),
+        (["maggn", "sample", "--out", run, "--n", "5"], {"n"}, {"checkpoint"}),
+    ]
+
+
+def test_text_and_json_reports_agree(csvs, capsys, tmp_path):
+    for argv, text_only, json_only in _report_cases(tmp_path, csvs):
+        code, text, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        lines = _text_fields(text)
+        if isinstance(results, dict):  # one result, possibly over several lines
+            lines = [{k: v for line in lines for k, v in line.items()}]
+            results = [results]
+        assert len(lines) == len(results), argv
+        for line, result in zip(lines, results):
+            assert set(line) - set(result) == text_only, argv
+            assert set(result) - set(line) == json_only, argv
+            for key in set(line) & set(result):
+                assert line[key] == _text_value(result[key]), (argv, key)
+
+
+@pytest.mark.parametrize("payload", [
+    [1, 2],
+    {"format_version": 1, "layer_dims": [2, 2]},
+    {"format_version": 1, "layer_dims": [2, 2], "layers": {"weights": [0.0] * 4}},
+    {"format_version": 1, "layer_dims": [2, 2], "layers": [{"weights": [0.0] * 4}]},
+])
+def test_malformed_checkpoint_exits_2(tmp_path, capsys, payload):
+    (tmp_path / "checkpoint.json").write_text(json.dumps(payload))
+    code, _, err = run_cli(capsys, "maggn", "sample", "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("data", [{"dims": 5}, {"dims": [2.7]}, {"trials": "3"},
+                                  {"trials": 2.5}, {"seed": "x"}, {"scales": None}])
+def test_experiment_mistyped_config_value_exits_2(tmp_path, capsys, data):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "experiment", "--study", "tsweep",
+                           "--out", str(tmp_path / "o.csv"),
+                           "--config", str(cfg_path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_malformed_flag_values_exit_2(tmp_path):
+    out = str(tmp_path / "o.csv")
+    for flag, value in (("--dims", "2.5"), ("--scales", "x"), ("--trials", "abc"),
+                        ("--shift-mode", "sideways")):
+        try:
+            code = main(["experiment", "--study", "tsweep", "--out", out, flag, value])
+        except SystemExit as exc:  # argparse rejects the value itself
+            code = exc.code
+        assert code == 2, flag

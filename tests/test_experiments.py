@@ -3,6 +3,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from magmetric.experiments import (CSV_HEADER, StudyConfig, config_as_dict,
@@ -64,6 +65,24 @@ def test_config_round_trip_and_unknown_fields():
     # overrides win over the dict
     bumped = config_from_dict("huber", data, trials=7)
     assert bumped.trials == 7
+
+
+MISTYPED_CONFIGS = [{"dims": 5}, {"dims": [2.7]}, {"trials": "3"}, {"trials": 2.5},
+                    {"seed": "x"}, {"n_per_set": None}, {"scales": None},
+                    {"shifts": ["1"]}, {"adaptive_scales": "inv_d"}, {"trials": True}]
+
+
+@pytest.mark.parametrize("data", MISTYPED_CONFIGS)
+def test_config_rejects_mistyped_values(data):
+    with pytest.raises(ValueError, match=next(iter(data))):
+        config_from_dict("tsweep", data)
+
+
+def test_config_accepts_numpy_numbers():
+    cfg = config_from_dict("tsweep", {"dims": [np.int64(3)], "trials": np.int64(2),
+                                      "scales": [np.float32(0.5), 1]})
+    assert cfg.dims == (3,) and type(cfg.dims[0]) is int
+    assert cfg.scales == (0.5, 1.0) and type(cfg.scales[1]) is float
 
 
 def test_rows_sorted_canonically():
