@@ -9,18 +9,14 @@ push-forward generator trained on the multiscale distance.
 from .core import (DimensionMismatch, PointCsvError, PointSet, RngState,
                    dedupe, pairwise_distances, read_point_csv, sample_gaussian,
                    symmetric_difference_count, union_sets, write_point_csv)
-from .magnitude import (CholeskyFailure, CoincidentPoints, EigenFailure,
-                        MagnitudeResult, NeumannEstimate, ScalePoint,
-                        SpectralProfile, WeightingVector,
-                        is_nonnegative_weighting, magnitude,
-                        magnitude_function, magnitude_gradient,
-                        magnitude_neumann, magnitude_support,
-                        spectral_profile, weighting)
+from .magnitude import (CholeskyFailure, CoincidentPoints, MagnitudeResult,
+                        NeumannEstimate, ScalePoint, WeightingVector,
+                        magnitude, magnitude_function, magnitude_gradient,
+                        magnitude_neumann, weighting)
 from .distance import (BoundCheck, CrossPolytopeResult, DistanceReport,
                        LimitProbe, ScaleSchedule, bound_check, check_triangle,
                        cross_polytope_counterexample, limit_probe,
-                       mag_distance, mag_distance_gradient,
-                       magnitude_equivalent, multiscale_loss)
+                       mag_distance, mag_distance_gradient, multiscale_loss)
 from .baselines import (KernelSpec, mmd_squared, sliced_wasserstein,
                         wasserstein_1d)
 from .experiments import (StudyConfig, StudyRow, config_as_dict,
@@ -40,16 +36,14 @@ __all__ = [
     "dedupe", "pairwise_distances", "read_point_csv", "sample_gaussian",
     "symmetric_difference_count", "union_sets", "write_point_csv",
     # magnitude
-    "CholeskyFailure", "CoincidentPoints", "EigenFailure", "MagnitudeResult",
-    "NeumannEstimate", "ScalePoint", "SpectralProfile", "WeightingVector",
-    "is_nonnegative_weighting", "magnitude", "magnitude_function",
-    "magnitude_gradient", "magnitude_neumann", "magnitude_support",
-    "spectral_profile", "weighting",
+    "CholeskyFailure", "CoincidentPoints", "MagnitudeResult", "NeumannEstimate",
+    "ScalePoint", "WeightingVector", "magnitude", "magnitude_function",
+    "magnitude_gradient", "magnitude_neumann", "weighting",
     # distance
     "BoundCheck", "CrossPolytopeResult", "DistanceReport", "LimitProbe",
     "ScaleSchedule", "bound_check", "check_triangle",
     "cross_polytope_counterexample", "limit_probe", "mag_distance",
-    "mag_distance_gradient", "magnitude_equivalent", "multiscale_loss",
+    "mag_distance_gradient", "multiscale_loss",
     # baselines
     "KernelSpec", "mmd_squared", "sliced_wasserstein", "wasserstein_1d",
     # experiments

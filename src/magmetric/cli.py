@@ -19,7 +19,7 @@ from .distance import (ScaleSchedule, bound_check, cross_polytope_counterexample
 from .experiments import (config_as_dict, config_from_dict, run_study,
                           study_names, summary_path, write_rows, write_summary)
 from .magnitude import (DEFAULT_SUPPORT_TOL, CholeskyFailure, CoincidentPoints,
-                        EigenFailure, magnitude, magnitude_neumann)
+                        magnitude, magnitude_neumann)
 from .maggn import (TrainConfig, init_generator, load_checkpoint, sample,
                     save_checkpoint, train)
 
@@ -306,7 +306,7 @@ def main(argv=None) -> int:
     except DimensionMismatch as exc:
         print(f"error: dimension mismatch: {exc}", file=sys.stderr)
         return EXIT_SHAPE
-    except (CholeskyFailure, EigenFailure, CoincidentPoints) as exc:
+    except (CholeskyFailure, CoincidentPoints) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

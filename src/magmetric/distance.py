@@ -19,8 +19,8 @@ from .core import (PointSet, _require_same_dim, _unique_rows,
                    symmetric_difference_count, union_sets)
 from .core import dedupe  # noqa: F401 - bound for bench/tracer.py, unused here
 from .magnitude import (DEFAULT_EPS_SEP, DEFAULT_SUPPORT_TOL, CholeskyFailure,
-                        CoincidentPoints, _gradient_rows, _solve_ones, magnitude,
-                        magnitude_support)
+                        CoincidentPoints, _gradient_rows, _require_scale,
+                        _solve_ones, magnitude)
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,7 @@ class ScaleSchedule:
             raise ValueError("schedule needs at least one entry")
         prev_epoch = 0
         for t, e in cleaned:
-            if t <= 0:
-                raise ValueError("schedule scales must be positive")
+            _require_scale(t, "schedule scales")
             if e <= prev_epoch:
                 raise ValueError("schedule epochs must be strictly increasing and >= 1")
             prev_epoch = e
@@ -155,8 +154,7 @@ def mag_distance(X: PointSet, Y: PointSet, t: float) -> DistanceReport:
     component magnitudes enter as mag_x + mag_y, so the result is
     bit-identical under argument swap.
     """
-    if t <= 0:
-        raise ValueError("scale t must be positive")
+    _require_scale(t)
     union, dists, x_rows, y_rows = _union_geometry(X, Y)
     _, w_u, w_x, w_y = _union_weights(dists, x_rows, y_rows, t)
     mag_u, mag_x, mag_y = float(w_u.sum()), float(w_x.sum()), float(w_y.sum())
@@ -214,8 +212,7 @@ def _value_and_gradient(X: PointSet, Y: PointSet, t: float, normalized: bool,
     point of Y (Y must be duplicate-free and separated from X). The value
     is bitwise mag_distance(X, Y, t).distance, or .normalized.
     """
-    if t <= 0:
-        raise ValueError("scale t must be positive")
+    _require_scale(t)
     union, dists, x_rows, y_rows = _union_geometry(X, Y)
     _separation_check(dists, x_rows, y_rows, eps_sep)
     zeta, w_u, w_x, w_y = _union_weights(dists, x_rows, y_rows, t)
@@ -245,14 +242,6 @@ def mag_distance_gradient(X: PointSet, Y: PointSet, t: float,
     return _value_and_gradient(X, Y, t, normalized, eps_sep)[1]
 
 
-def magnitude_equivalent(X: PointSet, Y: PointSet, t: float,
-                         tol: float = DEFAULT_SUPPORT_TOL) -> bool:
-    """True iff X and Y carry nonzero weight on the same points at scale t."""
-    _require_same_dim(X, Y)
-    return symmetric_difference_count(magnitude_support(X, t, tol),
-                                      magnitude_support(Y, t, tol)) == 0
-
-
 def check_triangle(X: PointSet, Y: PointSet, Z: PointSet, t: float) -> float:
     """Signed triangle slack d(X,Y) + d(Y,Z) - d(X,Z); negative = violation."""
     d_xy = mag_distance(X, Y, t).distance
@@ -273,8 +262,7 @@ def cross_polytope_counterexample(dim: int, t: float,
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if t <= 0:
-        raise ValueError("scale t must be positive")
+    _require_scale(t)
     m = 2 * dim
     a = math.exp(-2.0 * t)             # antipodal vertices, distance 2
     b = math.exp(-math.sqrt(2.0) * t)  # non-antipodal vertices, distance sqrt(2)

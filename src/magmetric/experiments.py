@@ -19,7 +19,7 @@ import numpy as np
 from .baselines import KernelSpec, mmd_squared, sliced_wasserstein
 from .core import PointSet, RngState, _is_list_of, sample_gaussian
 from .distance import mag_distance
-from .magnitude import CholeskyFailure
+from .magnitude import CholeskyFailure, _require_scale
 
 CSV_HEADER = "study,method,dim,trial,param,value,error"
 SW_PROJECTIONS = 128
@@ -81,8 +81,8 @@ class StudyConfig:
             raise ValueError("n_per_set must be positive")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if any(t <= 0 for t in self.scales):
-            raise ValueError("scales must be positive")
+        for t in self.scales:
+            _require_scale(t, "scales")
         unknown = set(self.adaptive_scales) - {"inv_d", "inv_sqrt_d"}
         if unknown:
             raise ValueError(f"unknown adaptive scales: {sorted(unknown)}")

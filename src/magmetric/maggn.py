@@ -25,6 +25,7 @@ from .magnitude import CoincidentPoints
 
 CHECKPOINT_VERSION = 1
 TRAIN_LOG_HEADER = "epoch,active_scales,loss,grad_norm,seconds"
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -55,9 +56,6 @@ class TrainConfig:
     batch_real: int = 64
     batch_gen: int = 64
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     normalized_loss: bool = True
     seed: int = 42
 
@@ -66,10 +64,6 @@ class TrainConfig:
             raise ValueError("epochs and batch sizes must be positive")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must not be negative")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("adam betas must be in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -217,15 +211,14 @@ def train(gen: Generator, data: PointSet, config: TrainConfig):
         g_w, g_b = _backward(gen, acts, grad_out)
         grads = g_w + g_b
         step += 1
-        corr1 = 1.0 - config.beta1**step
-        corr2 = 1.0 - config.beta2**step
+        corr1 = 1.0 - ADAM_BETA1**step
+        corr2 = 1.0 - ADAM_BETA2**step
         for p, g, m, v in zip(params, grads, adam_m, adam_v):
-            m *= config.beta1
-            m += (1.0 - config.beta1) * g
-            v *= config.beta2
-            v += (1.0 - config.beta2) * g * g
-            p -= config.learning_rate * (m / corr1) / (np.sqrt(v / corr2)
-                                                       + config.adam_eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p -= config.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
         grad_norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
         log.rows.append(TrainLogRow(epoch, len(active), float(loss), grad_norm,
                                     time.perf_counter() - started))

@@ -18,7 +18,7 @@ from .core import PointSet, dedupe, pairwise_distances
 
 SOLVER_RESIDUAL_TOL = 1e-8
 DEFAULT_EPS_SEP = 1e-9       # below this separation, distance gradients blow up
-DEFAULT_SUPPORT_TOL = 1e-10  # |w| <= tol counts as zero; w >= -tol as nonnegative
+DEFAULT_SUPPORT_TOL = 1e-10  # a weight w >= -tol counts as nonnegative
 JITTER_COEFF = 1e-12         # opt-in ridge is JITTER_COEFF * n on the diagonal
 
 
@@ -30,10 +30,6 @@ class CholeskyFailure(ArithmeticError):
         super().__init__(message)
         self.pivot = pivot
         self.condition_hint = condition_hint
-
-
-class EigenFailure(ArithmeticError):
-    """Symmetric eigendecomposition did not converge."""
 
 
 class CoincidentPoints(ArithmeticError):
@@ -88,11 +84,10 @@ class NeumannEstimate:
     radius_proxy: float  # max_i sum_{j != i} zeta_ij
 
 
-@dataclass(frozen=True)
-class SpectralProfile:
-    eigenvalues: np.ndarray         # descending
-    alignments: np.ndarray          # (1^T v_i)^2 per eigenvector
-    inverse_form_terms: np.ndarray  # alignments / eigenvalues; sums to magnitude
+def _require_scale(t, name: str = "scale t") -> None:
+    """Raise ValueError unless t is finite and positive (NaN fails too)."""
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"{name} must be finite and positive")
 
 
 def _solve_ones(zeta: np.ndarray, jitter: bool):
@@ -125,7 +120,7 @@ def _solve_ones(zeta: np.ndarray, jitter: bool):
     dw, _ = dpotrs(factor, resid_vec, lower=1)
     w = w + dw
     residual = float(np.abs(mat @ w - ones).max())
-    if residual > SOLVER_RESIDUAL_TOL:
+    if not residual <= SOLVER_RESIDUAL_TOL:  # a NaN residual fails too
         raise CholeskyFailure(
             f"solve residual {residual:.3e} exceeds {SOLVER_RESIDUAL_TOL:.0e} "
             f"(condition hint {hint:.3e})", condition_hint=hint)
@@ -140,8 +135,7 @@ def weighting(X: PointSet, t: float, jitter: bool = False) -> WeightingVector:
     """
     if len(X) == 0:
         raise ValueError("weighting needs a nonempty set")
-    if t <= 0:
-        raise ValueError("scale t must be positive")
+    _require_scale(t)
     reps, mult = dedupe(X)
     zeta = np.exp(-t * pairwise_distances(reps))
     w, residual, hint, applied = _solve_ones(zeta, jitter)
@@ -152,8 +146,7 @@ def weighting(X: PointSet, t: float, jitter: bool = False) -> WeightingVector:
 
 def magnitude(X: PointSet, t: float, jitter: bool = False) -> MagnitudeResult:
     """Sum of the weighting entries; 0 for the empty set, 1 for singletons."""
-    if t <= 0:
-        raise ValueError("scale t must be positive")
+    _require_scale(t)
     if len(X) == 0:
         empty = WeightingVector(points=X, weights=np.zeros(0), scale=float(t),
                                 multiplicity=np.zeros(0, dtype=np.intp),
@@ -185,8 +178,7 @@ def magnitude_neumann(X: PointSet, t: float) -> NeumannEstimate:
     Cheap (no solve). `reliable` is False when the spectral radius proxy
     max_i sum_{j != i} zeta_ij reaches 1, where the series may diverge.
     """
-    if t <= 0:
-        raise ValueError("scale t must be positive")
+    _require_scale(t)
     if len(X) == 0:
         return NeumannEstimate(0.0, True, 0.0)
     reps, _ = dedupe(X)
@@ -197,23 +189,6 @@ def magnitude_neumann(X: PointSet, t: float) -> NeumannEstimate:
     off = zeta - np.eye(n)
     proxy = float(off.sum(axis=1).max())
     return NeumannEstimate(float(n) - float(off.sum()), proxy < 1.0, proxy)
-
-
-def is_nonnegative_weighting(X: PointSet, t: float, tol: float = DEFAULT_SUPPORT_TOL) -> bool:
-    """True iff every weight is >= -tol (vacuously true for the empty set)."""
-    if len(X) == 0:
-        return True
-    wv = weighting(X, t)
-    return bool(wv.weights.min() >= -tol)
-
-
-def magnitude_support(X: PointSet, t: float, tol: float = DEFAULT_SUPPORT_TOL) -> PointSet:
-    """Representatives whose |weight| exceeds tol."""
-    if len(X) == 0:
-        return X
-    wv = weighting(X, t)
-    mask = np.abs(wv.weights) > tol
-    return PointSet(wv.points.coords[mask])
 
 
 def _min_offdiag(dists: np.ndarray):
@@ -247,8 +222,7 @@ def magnitude_gradient(X: PointSet, t: float, eps_sep: float = DEFAULT_EPS_SEP) 
     The Euclidean norm has no gradient at coincidence, so any surviving
     pair closer than eps_sep is a hard CoincidentPoints error.
     """
-    if t <= 0:
-        raise ValueError("scale t must be positive")
+    _require_scale(t)
     reps, _ = dedupe(X)
     n = len(reps)
     if n == 0:
@@ -263,24 +237,3 @@ def magnitude_gradient(X: PointSet, t: float, eps_sep: float = DEFAULT_EPS_SEP) 
     w, _, _, _ = _solve_ones(zeta, False)
     return _gradient_rows(reps.coords, dists, zeta, w, t, np.arange(n))
 
-
-def spectral_profile(X: PointSet, t: float) -> SpectralProfile:
-    """Eigendecomposition view of the magnitude quadratic form.
-
-    magnitude = 1^T zeta^-1 1 = sum_i (1^T v_i)^2 / lambda_i; the returned
-    terms make that aggregation inspectable per eigenvalue.
-    """
-    if t <= 0:
-        raise ValueError("scale t must be positive")
-    if len(X) == 0:
-        raise ValueError("spectral_profile needs a nonempty set")
-    reps, _ = dedupe(X)
-    zeta = np.exp(-t * pairwise_distances(reps))
-    try:
-        vals, vecs = np.linalg.eigh(zeta)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from None
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    align = vecs[:, order].sum(axis=0) ** 2
-    return SpectralProfile(vals, align, align / vals)

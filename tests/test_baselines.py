@@ -1,11 +1,16 @@
 """Baseline two-sample distances: MMD, 1D Wasserstein, sliced Wasserstein."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.stats import wasserstein_distance
 
-from magmetric.baselines import (KernelSpec, mmd_squared, sliced_wasserstein,
-                                 wasserstein_1d)
+import magmetric
+from magmetric.baselines import (KernelSpec, _w1_rows, mmd_squared,
+                                 sliced_wasserstein, wasserstein_1d)
 from magmetric.core import PointSet, RngState, sample_gaussian
 
 
@@ -14,6 +19,9 @@ def test_kernel_spec_validation():
         KernelSpec("triangle", 1.0)
     with pytest.raises(ValueError):
         KernelSpec("gaussian", 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            KernelSpec("gaussian", bad)
 
 
 def test_kernel_gram_values():
@@ -102,3 +110,42 @@ def test_sliced_wasserstein_requires_keyword_rng():
     x = sample_gaussian(RngState(1), 5, 2)
     with pytest.raises(TypeError):
         sliced_wasserstein(x, x, 8, RngState(2))  # rng is keyword-only
+
+
+def _reference_pairs():
+    """(X, Y) pairs covering equal sizes, 200 vs 210, ties and 1 vs 1."""
+    rng = RngState(77)
+    yield (sample_gaussian(rng.derive(0), 100, 20),
+           sample_gaussian(rng.derive(1), 100, 20, mean=0.5))
+    yield (sample_gaussian(rng.derive(2), 200, 2),
+           sample_gaussian(rng.derive(3), 210, 2, mean=1.0))
+    grid = [np.round(sample_gaussian(rng.derive(k), n, 1).coords * 2.0) / 2.0
+            for k, n in ((4, 60), (5, 45))]
+    yield PointSet(grid[0]), PointSet(grid[1])
+    yield PointSet([[0.25, -1.0]]), PointSet([[2.0, 3.5]])
+
+
+@pytest.mark.parametrize("pair", list(_reference_pairs()))
+def test_w1_kernel_is_bitwise_scipy(pair):
+    x, y = pair
+    for k in range(x.dim):
+        a, b = x.coords[:, k], y.coords[:, k]
+        assert wasserstein_1d(a, b) == wasserstein_distance(a, b)
+    # every projection of sliced_wasserstein, drawn as it draws them
+    n_proj = 32
+    dirs = RngState(8).normals(n_proj * x.dim).reshape(n_proj, x.dim)
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    proj_x, proj_y = x.coords @ dirs.T, y.coords @ dirs.T
+    want = [wasserstein_distance(proj_x[:, k], proj_y[:, k]) for k in range(n_proj)]
+    assert _w1_rows(proj_x.T, proj_y.T).tolist() == want
+    assert sliced_wasserstein(x, y, n_proj, rng=RngState(8)) == float(np.mean(want))
+
+
+def test_import_does_not_load_scipy_stats():
+    # a fresh interpreter that finds this same package first on its path
+    src = os.path.dirname(os.path.dirname(magmetric.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import magmetric; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

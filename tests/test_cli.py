@@ -123,6 +123,17 @@ def test_exit_code_empty_input():
     assert main(["magnitude", "--input", "/dev/null", "--t", "1.0"]) == 2
 
 
+@pytest.mark.parametrize("command,t", [("magnitude", "nan"), ("magnitude", "inf"),
+                                       ("distance", "nan")])
+def test_non_finite_scale_exits_2(csvs, capsys, command, t):
+    x, y = csvs
+    inputs = ["--input", x] if command == "magnitude" else ["--x", x, "--y", y]
+    code, out, err = run_cli(capsys, command, *inputs, "--t", t)
+    assert code == 2
+    assert "finite and positive" in err
+    assert "nan" not in out
+
+
 def test_unknown_flag_exits_2(csvs):
     x, _ = csvs
     with pytest.raises(SystemExit) as err:

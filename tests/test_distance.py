@@ -8,8 +8,7 @@ from magmetric.core import PointSet, RngState, sample_gaussian, union_sets
 from magmetric.distance import (ScaleSchedule, bound_check, check_triangle,
                                 cross_polytope_counterexample, limit_probe,
                                 mag_distance, mag_distance_gradient,
-                                magnitude_equivalent, multiscale_loss,
-                                _value_and_gradient)
+                                multiscale_loss, _value_and_gradient)
 from magmetric.magnitude import CoincidentPoints, magnitude
 
 
@@ -106,6 +105,20 @@ def test_schedule_validation():
         ScaleSchedule.parse("-0.5@1")
     with pytest.raises(ValueError):
         ScaleSchedule.parse("0.5@0")
+    for text in ("nan@1", "inf@1", "0.5@1,nan@2"):
+        with pytest.raises(ValueError, match="finite"):
+            ScaleSchedule.parse(text)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
+def test_distance_rejects_bad_scale(t):
+    x, y = _pair(3)
+    with pytest.raises(ValueError):
+        mag_distance(x, y, t)
+    with pytest.raises(ValueError):
+        _value_and_gradient(x, y, t, normalized=True)
+    with pytest.raises(ValueError):
+        cross_polytope_counterexample(3, t)
     with pytest.raises(ValueError):
         ScaleSchedule.parse("junk")
     # decreasing scales are allowed, only flagged
@@ -198,16 +211,6 @@ def test_gradient_plateaus_at_large_t():
     y = PointSet([[10.0, 10.0], [12.0, 10.0]])
     grad = mag_distance_gradient(x, y, 50.0)
     assert np.abs(grad).max() < 1e-6
-
-
-def test_equivalence_relation():
-    x = PointSet([[0.0], [5.0]])
-    assert magnitude_equivalent(x, x, 1.0)
-    y = PointSet([[0.0], [6.0]])
-    assert not magnitude_equivalent(x, y, 1.0)
-    # duplicated copy has the same support
-    xx = PointSet([[0.0], [5.0], [5.0]])
-    assert magnitude_equivalent(x, xx, 1.0)
 
 
 def test_triangle_holds_in_1d():

@@ -53,6 +53,9 @@ def test_config_validation():
         tsweep_config(trials=0)
     with pytest.raises(ValueError):
         outlier2d_config(dims=(3,))  # planar study
+    for bad in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="scales"):
+            StudyConfig(scales=(0.1, bad))
 
 
 def test_config_round_trip_and_unknown_fields():
