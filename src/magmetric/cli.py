@@ -2,9 +2,9 @@
 
 Conventions shared by every subcommand: the seed defaults to 42 and is echoed
 before any random draw happens; floats print with 17 significant digits;
---json swaps the text report for one object with keys
-{command, seed, params, results}. Exit codes: 0 ok, 2 input/config problem,
-3 numerical failure, 4 shape mismatch.
+--json swaps the text report for one object with keys {command, seed,
+params, results, blas_threads}, the last from `_blas.THREADS`. Exit codes:
+0 ok, 2 input/config problem, 3 numerical failure, 4 shape mismatch.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import json
 import os
 import sys
 
+from ._blas import THREADS as BLAS_THREADS
 from .core import DimensionMismatch, RngState, read_point_csv, write_point_csv
 from .distance import (ScaleSchedule, bound_check, cross_polytope_counterexample,
                        mag_distance)
@@ -51,7 +52,8 @@ def _report(args, command: str, seed: int, params: dict, results,
     (default: the list of result dicts itself)."""
     if args.json:
         print(json.dumps({"command": command, "seed": seed, "params": params,
-                          "results": results}, sort_keys=True))
+                          "results": results, "blas_threads": BLAS_THREADS},
+                         sort_keys=True))
     else:
         for line in results if lines is None else lines:
             _echo(args, **line)
@@ -175,14 +177,14 @@ def cmd_maggn_train(args) -> None:
     if args.epochs < schedule.last_epoch:
         print(f"warning: schedule entry at epoch {schedule.last_epoch} never "
               f"activates within --epochs {args.epochs}", file=sys.stderr)
-    data = read_point_csv(args.data, skip_header=args.skip_header)
-    os.makedirs(args.out, exist_ok=True)
-    rng = RngState(args.seed)
-    gen = init_generator(rng.derive(0), args.layer_dims)
     config = TrainConfig(schedule=schedule, epochs=args.epochs,
                          batch_real=args.batch_real, batch_gen=args.batch_gen,
                          learning_rate=args.lr,
                          normalized_loss=not args.raw_loss, seed=args.seed)
+    data = read_point_csv(args.data, skip_header=args.skip_header)
+    os.makedirs(args.out, exist_ok=True)
+    rng = RngState(args.seed)
+    gen = init_generator(rng.derive(0), args.layer_dims)
     gen, log = train(gen, data, config)
     ckpt = os.path.join(args.out, "checkpoint.json")
     log_path = os.path.join(args.out, "train_log.csv")

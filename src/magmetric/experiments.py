@@ -75,6 +75,8 @@ class StudyConfig:
             if not _is_list_of(value, kind):
                 raise ValueError(f"{name} must be a list of {cast.__name__}, got {value!r}")
             object.__setattr__(self, name, tuple(cast(v) for v in value))
+            if cast is float and not all(map(math.isfinite, getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError("dims must be positive")
         if self.n_per_set < 1:

@@ -62,8 +62,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_real < 1 or self.batch_gen < 1:
             raise ValueError("epochs and batch sizes must be positive")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must not be negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be finite and not negative")
 
 
 @dataclass(frozen=True)

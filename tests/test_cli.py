@@ -40,7 +40,8 @@ def test_magnitude_json_envelope(csvs, capsys):
                            "--t", "1.0", "--t", "2.0", "--neumann", "--json")
     assert code == 0
     blob = json.loads(out)
-    assert set(blob) == {"command", "seed", "params", "results"}
+    assert set(blob) == {"command", "seed", "params", "results", "blas_threads"}
+    assert blob["blas_threads"] == {"numpy": 1, "scipy": 1}
     assert blob["command"] == "magnitude"
     assert blob["seed"] == 42
     assert blob["params"]["t"] == [1.0, 2.0]
@@ -132,6 +133,22 @@ def test_non_finite_scale_exits_2(csvs, capsys, command, t):
     assert code == 2
     assert "finite and positive" in err
     assert "nan" not in out
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["experiment", "--study", "huber", "--radii", "10,nan"], "radii"),
+    (["experiment", "--study", "huber", "--epsilons", "0.05,inf"], "epsilons"),
+    (["experiment", "--study", "tsweep", "--shifts", "nan"], "shifts"),
+    (["maggn", "train", "--schedule", "1.0@1", "--lr", "nan"], "learning_rate"),
+])
+def test_non_finite_config_exits_2(csvs, capsys, tmp_path, argv, field):
+    # rejected when the config is built: no config echo, nothing written
+    extra = ["--data", csvs[0]] if argv[0] == "maggn" else []
+    code, out, err = run_cli(capsys, *argv, *extra, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert f"{field} must be finite" in err
+    assert "config=" not in out
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_unknown_flag_exits_2(csvs):

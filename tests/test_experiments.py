@@ -2,10 +2,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import magmetric
 from magmetric.experiments import (CSV_HEADER, StudyConfig, config_as_dict,
                                    config_from_dict, contamination_count,
                                    default_config, fmt17, huber_config,
@@ -56,6 +59,10 @@ def test_config_validation():
     for bad in (math.nan, math.inf, 0.0):
         with pytest.raises(ValueError, match="scales"):
             StudyConfig(scales=(0.1, bad))
+    for name, good in (("shifts", 1.0), ("epsilons", 0.05), ("radii", 10.0)):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                StudyConfig(**{name: (good, bad)})
 
 
 def test_config_round_trip_and_unknown_fields():
@@ -188,3 +195,32 @@ def test_fmt17_round_trips():
 def test_run_study_rejects_unknown():
     with pytest.raises(ValueError):
         run_study("mystery", None)
+
+
+def test_study_bytes_independent_of_blas_threads(tmp_path):
+    # The tsweep union has n=200, where a threaded OpenBLAS changes the bits
+    # of the Cholesky solves; the package pins both bundled copies at import.
+    src = os.path.dirname(os.path.dirname(magmetric.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "MAGMETRIC_THREADS": "1"}
+    probe = ("import json, magmetric, numpy, scipy; "
+             "from magmetric._blas import bundled; "
+             "libs = {p.__name__: bundled(p) for p in (numpy, scipy)}; "
+             "print(json.dumps({name: getattr(lib, 'scipy_openblas_get_num_threads' + sfx)() "
+             "for name, (lib, sfx) in libs.items()}))")
+    children = {}
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"blas{threads}.csv")
+        children[out] = subprocess.Popen(
+            [sys.executable, "-m", "magmetric.cli", "experiment", "--study", "tsweep",
+             "--out", out], env={**env, "OPENBLAS_NUM_THREADS": threads},
+            stdout=subprocess.DEVNULL)
+    probed = subprocess.Popen([sys.executable, "-c", probe], stdout=subprocess.PIPE,
+                              text=True, env={**env, "OPENBLAS_NUM_THREADS": "2"})
+    assert [child.wait() for child in children.values()] == [0, 0]
+    one, two = children
+    for suffix in ("", ".summary.json"):
+        with open(one + suffix, "rb") as a, open(two + suffix, "rb") as b:
+            assert a.read() == b.read(), suffix or "csv"
+    threads, _ = probed.communicate()
+    assert probed.returncode == 0
+    assert json.loads(threads) == {"numpy": 1, "scipy": 1}

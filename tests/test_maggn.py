@@ -88,6 +88,14 @@ def _data(seed=8, n=48):
     return sample_gaussian(RngState(seed), n, 2, mean=1.0, std=0.4)
 
 
+def test_train_config_validation():
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            TrainConfig(schedule=small_schedule(), learning_rate=bad)
+    with pytest.raises(ValueError, match="batch sizes"):
+        TrainConfig(schedule=small_schedule(), batch_gen=0)
+
+
 def test_zero_learning_rate_freezes_parameters():
     data = _data()
     gen = init_generator(RngState(3), (2, 8, 2))
