@@ -157,6 +157,9 @@ def cmd_experiment(args) -> None:
                  if getattr(args, name) is not None}
     cfg = config_from_dict(args.study, file_data, **overrides,
                            output_path=args.out)
+    out_dir = os.path.dirname(cfg.output_path) or "."
+    if not os.path.isdir(out_dir):
+        raise ValueError(f"output directory {out_dir!r} does not exist")
     cfg_dict = config_as_dict(cfg)
     _echo(args, seed=cfg.seed)
     _echo(args, config=json.dumps(cfg_dict, sort_keys=True))

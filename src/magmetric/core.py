@@ -87,9 +87,6 @@ class RngState:
         z = self._bulk_u64(count)
         return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
 
-    def uniform(self) -> float:
-        return float(self.uniforms(1)[0])
-
     def normals(self, count: int) -> np.ndarray:
         """`count` standard normals via Box-Muller."""
         if count < 0:

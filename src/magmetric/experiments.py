@@ -1,4 +1,4 @@
-"""Deterministic study runners: distance behavior across scales, dimensions,
+"""Deterministic studies: distance behavior across scales, dimensions,
 outliers, and contamination, emitted as CSV rows plus a JSON summary.
 
 Reproducibility contract: every trial computes on its own derived RNG stream,
@@ -12,7 +12,8 @@ import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -28,9 +29,6 @@ SW_PROJECTIONS = 128
 OUTLIER2D_SHIFT = (2.0, 2.0)
 OUTLIER2D_NOISE_POINTS = 10
 OUTLIER2D_NOISE_STD = 6.0
-
-# derived-stream salts so different studies never share trial streams
-_STUDY_SALT = {"tsweep": 1, "highdim": 2, "outlier2d": 3, "huber": 4}
 
 
 def fmt17(x) -> str:
@@ -109,46 +107,6 @@ class StudyRow:
     error: str = ""
 
 
-def tsweep_config(**overrides) -> StudyConfig:
-    """Distance as a function of t for a grid of per-coordinate mean shifts."""
-    base = dict(seed=42, dims=(100,), n_per_set=100, trials=3,
-                scales=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6),
-                shift_mode="per_coordinate",
-                shifts=(0.0, 0.75, 1.5, 2.25, 3.0, 3.75, 4.5, 5.25, 6.0))
-    base.update(overrides)
-    return StudyConfig(**base)
-
-
-def highdim_config(**overrides) -> StudyConfig:
-    """Baselines vs magnitude distance as the ambient dimension grows."""
-    base = dict(seed=42, dims=(2, 10, 50, 100, 200), n_per_set=100, trials=20,
-                scales=(0.01, 0.1), adaptive_scales=("inv_d", "inv_sqrt_d"),
-                shift_mode="fixed_norm", shifts=(2.0,))
-    base.update(overrides)
-    return StudyConfig(**base)
-
-
-def outlier2d_config(**overrides) -> StudyConfig:
-    """Sensitivity of distances to a small dispersed outlier cloud in 2D."""
-    base = dict(seed=42, dims=(2,), n_per_set=200, trials=20, scales=(5.0, 20.0))
-    base.update(overrides)
-    cfg = StudyConfig(**base)
-    if cfg.dims != (2,):
-        raise ValueError("outlier2d is a planar study; dims must be (2,)")
-    return cfg
-
-
-def huber_config(**overrides) -> StudyConfig:
-    """Contaminated two-sample test: replace ceil(eps*n) points by radius-r
-    outliers and sweep r. scales[0] is the standard-distance scale,
-    scales[1] the normalized-distance scale."""
-    base = dict(seed=42, dims=(5,), n_per_set=200, trials=5,
-                scales=(0.001, 0.1), epsilons=(0.01, 0.05, 0.1),
-                radii=(10.0, 50.0, 100.0, 500.0, 1000.0))
-    base.update(overrides)
-    return StudyConfig(**base)
-
-
 def contamination_count(eps: float, n: int) -> int:
     """ceil(eps*n) outliers; rounded first so 0.05*200 counts as exactly 10."""
     return math.ceil(round(eps * n, 9))
@@ -169,23 +127,6 @@ def _thread_count() -> int:
         return 1
 
 
-def _run_tasks(tasks) -> list[StudyRow]:
-    """Run zero-arg row producers, possibly in a pool, and sort canonically.
-
-    Tasks are pure (own derived RNG each), so scheduling cannot change any
-    value; the sort fixes the row order regardless of completion order.
-    """
-    threads = _thread_count()
-    if threads == 1 or len(tasks) <= 1:
-        chunks = [task() for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda task: task(), tasks))
-    rows = [row for chunk in chunks for row in chunk]
-    rows.sort(key=lambda r: (r.study, r.method, r.dim, r.trial, r.param))
-    return rows
-
-
 def _shift_vector(mode: str, value: float, dim: int) -> np.ndarray:
     vec = np.zeros(dim)
     if mode == "fixed_norm":
@@ -195,234 +136,277 @@ def _shift_vector(mode: str, value: float, dim: int) -> np.ndarray:
     return vec
 
 
-def _err_text(exc: Exception) -> str:
-    msg = f"{type(exc).__name__}: {exc}"
-    return msg.replace(",", ";").replace("\n", " ")
+def _solve_rows(keys, pick, t, *pairs) -> list[tuple]:
+    """Rows (method, param, value, error) for the (method, param) `keys`.
+
+    The values are `pick(*reports)`, one `mag_distance(a, b, t)` report per
+    (a, b) in `pairs`. If a solve fails, every key gets a NaN row whose error
+    reads `Type: message`, with commas turned into ';' so the CSV keeps its
+    seven fields.
+    """
+    try:
+        reports = [mag_distance(a, b, t) for a, b in pairs]
+    except CholeskyFailure as exc:
+        error = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
+        return [(method, param, math.nan, error) for method, param in keys]
+    return [(method, param, value, "")
+            for (method, param), value in zip(keys, pick(*reports))]
 
 
-def _nan_row(study, method, dim, trial, param, exc) -> StudyRow:
-    return StudyRow(study, method, dim, trial, param, float("nan"), _err_text(exc))
-
-
-def _study_stream(cfg: StudyConfig, study: str, index: int) -> RngState:
-    return RngState(cfg.seed).derive(_STUDY_SALT[study]).derive(index)
-
-
-def run_tsweep(config: StudyConfig | None = None) -> list[StudyRow]:
-    """Standard and normalized distance over t, per mean shift, per trial."""
-    cfg = config if config is not None else tsweep_config()
+def _check_tsweep(cfg: StudyConfig) -> None:
     if not cfg.shifts:
         raise ValueError("tsweep needs a shift grid")
     if not cfg.scales:
         raise ValueError("tsweep needs scales")
-    tasks = []
-    for di, dim in enumerate(cfg.dims):
-        for si, shift in enumerate(cfg.shifts):
-            for trial in range(cfg.trials):
-                index = (di * 1000 + si) * 1_000_000 + trial
-                rng = _study_stream(cfg, "tsweep", index)
-                tasks.append(_make_tsweep_task(cfg, dim, shift, trial, rng))
-    return _run_tasks(tasks)
 
 
-def _make_tsweep_task(cfg, dim, shift, trial, rng):
-    def task():
-        x = sample_gaussian(rng, cfg.n_per_set, dim)
-        y = sample_gaussian(rng, cfg.n_per_set, dim,
-                            _shift_vector(cfg.shift_mode, shift, dim))
-        rows = []
-        for t in cfg.scales:
-            param = f"mu={fmt17(shift)};t={fmt17(t)}"
-            try:
-                rep = mag_distance(x, y, t)
-                rows.append(StudyRow("tsweep", "magdist", dim, trial, param,
-                                     rep.distance))
-                rows.append(StudyRow("tsweep", "magdist_norm", dim, trial, param,
-                                     rep.normalized))
-            except CholeskyFailure as exc:
-                rows.append(_nan_row("tsweep", "magdist", dim, trial, param, exc))
-                rows.append(_nan_row("tsweep", "magdist_norm", dim, trial, param, exc))
-        return rows
-    return task
+def _tsweep_trial(cfg: StudyConfig, rng: RngState, dim: int, shift: float) -> list:
+    """Standard and normalized distance over t for one mean shift."""
+    x = sample_gaussian(rng, cfg.n_per_set, dim)
+    y = sample_gaussian(rng, cfg.n_per_set, dim,
+                        _shift_vector(cfg.shift_mode, shift, dim))
+    rows = []
+    for t in cfg.scales:
+        param = f"mu={fmt17(shift)};t={fmt17(t)}"
+        rows += _solve_rows([("magdist", param), ("magdist_norm", param)],
+                            lambda rep: (rep.distance, rep.normalized), t, (x, y))
+    return rows
 
 
-def run_highdim(config: StudyConfig | None = None) -> list[StudyRow]:
-    """MMD, sliced Wasserstein, and normalized magnitude distance (fixed and
-    dimension-adaptive scales) between shifted Gaussian clouds, per dim."""
-    cfg = config if config is not None else highdim_config()
+def _check_highdim(cfg: StudyConfig) -> None:
     if len(cfg.shifts) != 1:
         raise ValueError("highdim expects exactly one shift magnitude")
-    tasks = []
-    for di, dim in enumerate(cfg.dims):
-        for trial in range(cfg.trials):
-            rng = _study_stream(cfg, "highdim", di * 1_000_000 + trial)
-            tasks.append(_make_highdim_task(cfg, dim, trial, rng))
-    return _run_tasks(tasks)
 
 
-def _make_highdim_task(cfg, dim, trial, rng):
-    def task():
-        shift = cfg.shifts[0]
-        x = sample_gaussian(rng, cfg.n_per_set, dim)
-        y = sample_gaussian(rng, cfg.n_per_set, dim,
-                            _shift_vector(cfg.shift_mode, shift, dim))
-        rows = []
-        for label, sigma in (("mmd2[sigma=1]", 1.0),
-                             ("mmd2[sigma=1/sqrt(D)]", 1.0 / math.sqrt(dim))):
-            val = mmd_squared(x, y, KernelSpec("gaussian", sigma))
-            rows.append(StudyRow("highdim", label, dim, trial,
-                                 f"sigma={fmt17(sigma)}", val))
-        sw = sliced_wasserstein(x, y, SW_PROJECTIONS, rng=rng)
-        rows.append(StudyRow("highdim", "sliced_wasserstein", dim, trial,
-                             f"n_proj={SW_PROJECTIONS}", sw))
-        scale_plan = [(f"magdist_norm[t={format(t, 'g')}]", t) for t in cfg.scales]
-        for name in cfg.adaptive_scales:
-            if name == "inv_d":
-                scale_plan.append(("magdist_norm[t=1/D]", 1.0 / dim))
-            else:
-                scale_plan.append(("magdist_norm[t=1/sqrt(D)]", recommend_scale(dim)))
-        for label, t in scale_plan:
-            param = f"t={fmt17(t)}"
-            try:
-                rep = mag_distance(x, y, t)
-                rows.append(StudyRow("highdim", label, dim, trial, param,
-                                     rep.normalized))
-            except CholeskyFailure as exc:
-                rows.append(_nan_row("highdim", label, dim, trial, param, exc))
-        return rows
-    return task
+def _highdim_trial(cfg: StudyConfig, rng: RngState, dim: int, shift: float) -> list:
+    """MMD, sliced Wasserstein, and normalized magnitude distance (fixed and
+    dimension-adaptive scales) between shifted Gaussian clouds."""
+    x = sample_gaussian(rng, cfg.n_per_set, dim)
+    y = sample_gaussian(rng, cfg.n_per_set, dim,
+                        _shift_vector(cfg.shift_mode, shift, dim))
+    rows = []
+    for label, sigma in (("mmd2[sigma=1]", 1.0),
+                         ("mmd2[sigma=1/sqrt(D)]", 1.0 / math.sqrt(dim))):
+        val = mmd_squared(x, y, KernelSpec("gaussian", sigma))
+        rows.append((label, f"sigma={fmt17(sigma)}", val, ""))
+    sw = sliced_wasserstein(x, y, SW_PROJECTIONS, rng=rng)
+    rows.append(("sliced_wasserstein", f"n_proj={SW_PROJECTIONS}", sw, ""))
+    scale_plan = [(f"magdist_norm[t={format(t, 'g')}]", t) for t in cfg.scales]
+    for name in cfg.adaptive_scales:
+        if name == "inv_d":
+            scale_plan.append(("magdist_norm[t=1/D]", 1.0 / dim))
+        else:
+            scale_plan.append(("magdist_norm[t=1/sqrt(D)]", recommend_scale(dim)))
+    for label, t in scale_plan:
+        rows += _solve_rows([(label, f"t={fmt17(t)}")],
+                            lambda rep: [rep.normalized], t, (x, y))
+    return rows
 
 
-def run_outlier2d(config: StudyConfig | None = None) -> list[StudyRow]:
+def _check_outlier2d(cfg: StudyConfig) -> None:
+    if cfg.dims != (2,):
+        raise ValueError("outlier2d is a planar study; dims must be (2,)")
+    if not cfg.scales:
+        raise ValueError("outlier2d needs scales")
+
+
+def _pair_keys(method: str) -> list[tuple]:
+    return [(method, f"pair={tag}") for tag in ("clean", "noisy", "relchange")]
+
+
+def _clean_noisy_change(clean: float, noisy: float) -> tuple:
+    rel = abs(noisy - clean) / clean if clean != 0 else float("nan")
+    return clean, noisy, rel
+
+
+def _outlier2d_trial(cfg: StudyConfig, rng: RngState, dim: int, _) -> list:
     """Distance change when a small dispersed cloud joins one sample.
 
-    Per trial: B ~ N(0, I), Y ~ N(shift, I), Y* = Y plus a few points from
+    B ~ N(0, I), Y ~ N(shift, I), Y* = Y plus a few points from
     N(shift, OUTLIER2D_NOISE_STD^2 I). Emits the clean value d(B, Y), the
     noisy value d(B, Y*), and their relative change, per method.
     """
-    cfg = config if config is not None else outlier2d_config()
-    if cfg.dims != (2,):
-        raise ValueError("outlier2d is a 2D study (dims must be (2,))")
-    if not cfg.scales:
-        raise ValueError("outlier2d needs scales")
-    tasks = []
-    for trial in range(cfg.trials):
-        rng = _study_stream(cfg, "outlier2d", trial)
-        tasks.append(_make_outlier2d_task(cfg, trial, rng))
-    return _run_tasks(tasks)
+    shift = np.asarray(OUTLIER2D_SHIFT[:dim])
+    base = sample_gaussian(rng, cfg.n_per_set, dim)
+    y = sample_gaussian(rng, cfg.n_per_set, dim, shift)
+    noise = sample_gaussian(rng, OUTLIER2D_NOISE_POINTS, dim, shift,
+                            OUTLIER2D_NOISE_STD)
+    y_star = PointSet(np.vstack([y.coords, noise.coords]))
+    rows = []
+    for t in cfg.scales:
+        rows += _solve_rows(_pair_keys(f"magdist[t={format(t, 'g')}]"),
+                            lambda c, n: _clean_noisy_change(c.distance, n.distance),
+                            t, (base, y), (base, y_star))
+    sw_clean = sliced_wasserstein(base, y, SW_PROJECTIONS, rng=rng)
+    sw_noisy = sliced_wasserstein(base, y_star, SW_PROJECTIONS, rng=rng)
+    for (method, param), val in zip(_pair_keys("sliced_wasserstein"),
+                                    _clean_noisy_change(sw_clean, sw_noisy)):
+        rows.append((method, param, val, ""))
+    return rows
 
 
-def _make_outlier2d_task(cfg, trial, rng):
-    def task():
-        dim = cfg.dims[0]
-        shift = np.asarray(OUTLIER2D_SHIFT[:dim])
-        base = sample_gaussian(rng, cfg.n_per_set, dim)
-        y = sample_gaussian(rng, cfg.n_per_set, dim, shift)
-        noise = sample_gaussian(rng, OUTLIER2D_NOISE_POINTS, dim, shift,
-                                OUTLIER2D_NOISE_STD)
-        y_star = PointSet(np.vstack([y.coords, noise.coords]))
-        rows = []
-
-        def emit(method, clean, noisy):
-            rel = abs(noisy - clean) / clean if clean != 0 else float("nan")
-            for tag, val in (("clean", clean), ("noisy", noisy), ("relchange", rel)):
-                rows.append(StudyRow("outlier2d", method, dim, trial,
-                                     f"pair={tag}", val))
-
-        for t in cfg.scales:
-            method = f"magdist[t={format(t, 'g')}]"
-            try:
-                clean = mag_distance(base, y, t).distance
-                noisy = mag_distance(base, y_star, t).distance
-                emit(method, clean, noisy)
-            except CholeskyFailure as exc:
-                for tag in ("clean", "noisy", "relchange"):
-                    rows.append(_nan_row("outlier2d", method, dim, trial,
-                                         f"pair={tag}", exc))
-        sw_clean = sliced_wasserstein(base, y, SW_PROJECTIONS, rng=rng)
-        sw_noisy = sliced_wasserstein(base, y_star, SW_PROJECTIONS, rng=rng)
-        emit("sliced_wasserstein", sw_clean, sw_noisy)
-        return rows
-    return task
-
-
-def run_huber(config: StudyConfig | None = None) -> list[StudyRow]:
-    """Contamination sweep: how distances react as outliers move outward.
-
-    Within one (epsilon, trial) cell the clean samples and the outlier
-    directions are drawn once; the radius sweep rescales the same unit
-    directions, so growth over r is isolated from sampling noise.
-    """
-    cfg = config if config is not None else huber_config()
+def _check_huber(cfg: StudyConfig) -> None:
     if not cfg.epsilons:
         raise ValueError("huber needs epsilons")
     if not cfg.radii:
         raise ValueError("huber needs radii")
     if len(cfg.scales) != 2:
         raise ValueError("huber needs exactly two scales (standard, normalized)")
-    tasks = []
-    for di, dim in enumerate(cfg.dims):
-        for ei, eps in enumerate(cfg.epsilons):
-            for trial in range(cfg.trials):
-                index = (di * 1000 + ei) * 1_000_000 + trial
-                rng = _study_stream(cfg, "huber", index)
-                tasks.append(_make_huber_task(cfg, dim, eps, trial, rng))
-    return _run_tasks(tasks)
 
 
-def _make_huber_task(cfg, dim, eps, trial, rng):
-    def task():
-        n = cfg.n_per_set
-        t_std, t_norm = cfg.scales
-        clean = sample_gaussian(rng, n, dim)
-        contaminated_base = sample_gaussian(rng, n, dim)
-        k = contamination_count(eps, n)
+def _huber_trial(cfg: StudyConfig, rng: RngState, dim: int, eps: float) -> list:
+    """Contamination sweep: how distances react as outliers move outward.
+
+    The clean samples and the outlier directions are drawn once per trial;
+    the radius sweep rescales the same unit directions, so growth over r is
+    isolated from sampling noise.
+    """
+    n = cfg.n_per_set
+    t_std, t_norm = cfg.scales
+    clean = sample_gaussian(rng, n, dim)
+    contaminated_base = sample_gaussian(rng, n, dim)
+    k = contamination_count(eps, n)
+    if k > 0:
+        dirs = rng.normals(k * dim).reshape(k, dim)
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    rows = []
+    for r in cfg.radii:
+        coords = contaminated_base.coords.copy()
         if k > 0:
-            dirs = rng.normals(k * dim).reshape(k, dim)
-            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        rows = []
-        for r in cfg.radii:
-            coords = contaminated_base.coords.copy()
-            if k > 0:
-                coords[:k] = r * dirs
-            contaminated = PointSet(coords)
-            param = f"eps={fmt17(eps)};r={fmt17(r)}"
-            sw = sliced_wasserstein(clean, contaminated, SW_PROJECTIONS, rng=rng)
-            rows.append(StudyRow("huber", "sliced_wasserstein", dim, trial,
-                                 param, sw))
-            for method, t, normalized in (
-                    (f"magdist[t={format(t_std, 'g')}]", t_std, False),
-                    (f"magdist_norm[t={format(t_norm, 'g')}]", t_norm, True)):
-                try:
-                    rep = mag_distance(clean, contaminated, t)
-                    val = rep.normalized if normalized else rep.distance
-                    rows.append(StudyRow("huber", method, dim, trial, param, val))
-                except CholeskyFailure as exc:
-                    rows.append(_nan_row("huber", method, dim, trial, param, exc))
-        return rows
-    return task
+            coords[:k] = r * dirs
+        contaminated = PointSet(coords)
+        param = f"eps={fmt17(eps)};r={fmt17(r)}"
+        sw = sliced_wasserstein(clean, contaminated, SW_PROJECTIONS, rng=rng)
+        rows.append(("sliced_wasserstein", param, sw, ""))
+        for method, t, field in (
+                (f"magdist[t={format(t_std, 'g')}]", t_std, "distance"),
+                (f"magdist_norm[t={format(t_norm, 'g')}]", t_norm, "normalized")):
+            rows += _solve_rows([(method, param)],
+                                lambda rep: [getattr(rep, field)], t,
+                                (clean, contaminated))
+    return rows
 
 
-_RUNNERS = {"tsweep": run_tsweep, "highdim": run_highdim,
-            "outlier2d": run_outlier2d, "huber": run_huber}
-_CONFIGS = {"tsweep": tsweep_config, "highdim": highdim_config,
-            "outlier2d": outlier2d_config, "huber": huber_config}
+# ------------------------------------------------------------- study table
+
+@dataclass(frozen=True)
+class _Study:
+    """One study. Its cells are dims x args(cfg) x trials; the cell at dim
+    index di, arg index ai and trial k computes on the stream
+    derive(salt).derive(di * dim_stride + ai * 1_000_000 + k), and
+    `trial(cfg, rng, dim, arg)` returns its (method, param, value, error)
+    rows. `check` holds every requirement the study puts on its config."""
+
+    salt: int  # keeps different studies off each other's trial streams
+    defaults: dict
+    check: Callable[[StudyConfig], None]
+    args: Callable[[StudyConfig], tuple]
+    trial: Callable[..., list]
+    dim_stride: int = 1_000_000_000
+
+
+_STUDIES = {
+    "tsweep": _Study(
+        1, dict(dims=(100,), n_per_set=100, trials=3,
+                scales=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6), shift_mode="per_coordinate",
+                shifts=(0.0, 0.75, 1.5, 2.25, 3.0, 3.75, 4.5, 5.25, 6.0)),
+        _check_tsweep, lambda cfg: cfg.shifts, _tsweep_trial),
+    "highdim": _Study(
+        2, dict(dims=(2, 10, 50, 100, 200), n_per_set=100, trials=20,
+                scales=(0.01, 0.1), adaptive_scales=("inv_d", "inv_sqrt_d"),
+                shift_mode="fixed_norm", shifts=(2.0,)),
+        _check_highdim, lambda cfg: cfg.shifts, _highdim_trial,
+        dim_stride=1_000_000),
+    "outlier2d": _Study(
+        3, dict(dims=(2,), n_per_set=200, trials=20, scales=(5.0, 20.0)),
+        _check_outlier2d, lambda cfg: (None,), _outlier2d_trial),
+    "huber": _Study(
+        4, dict(dims=(5,), n_per_set=200, trials=5, scales=(0.001, 0.1),
+                epsilons=(0.01, 0.05, 0.1),
+                radii=(10.0, 50.0, 100.0, 500.0, 1000.0)),
+        _check_huber, lambda cfg: cfg.epsilons, _huber_trial),
+}
+
+
+def _study(name: str) -> _Study:
+    if name not in _STUDIES:
+        raise ValueError(f"unknown study {name!r}")
+    return _STUDIES[name]
 
 
 def study_names() -> tuple[str, ...]:
-    return tuple(sorted(_RUNNERS))
+    return tuple(sorted(_STUDIES))
+
+
+def config_from_dict(study: str, data: dict, **overrides) -> StudyConfig:
+    """Study defaults, updated by `data`, updated by keyword overrides; the
+    result must meet the study's requirements."""
+    spec = _study(study)
+    bad = set(data) - {f.name for f in fields(StudyConfig)}
+    if bad:
+        raise ValueError(f"unknown config fields: {sorted(bad)}")
+    cfg = StudyConfig(**{**spec.defaults, **data, **overrides})
+    spec.check(cfg)
+    return cfg
 
 
 def default_config(study: str) -> StudyConfig:
-    if study not in _CONFIGS:
-        raise ValueError(f"unknown study {study!r}")
-    return _CONFIGS[study]()
+    return config_from_dict(study, {})
+
+
+def tsweep_config(**overrides) -> StudyConfig:
+    """Distance as a function of t for a grid of per-coordinate mean shifts."""
+    return config_from_dict("tsweep", {}, **overrides)
+
+
+def highdim_config(**overrides) -> StudyConfig:
+    """Baselines vs magnitude distance as the ambient dimension grows."""
+    return config_from_dict("highdim", {}, **overrides)
+
+
+def outlier2d_config(**overrides) -> StudyConfig:
+    """Sensitivity of distances to a small dispersed outlier cloud in 2D."""
+    return config_from_dict("outlier2d", {}, **overrides)
+
+
+def huber_config(**overrides) -> StudyConfig:
+    """Contaminated two-sample test: replace ceil(eps*n) points by radius-r
+    outliers and sweep r. scales[0] is the standard-distance scale,
+    scales[1] the normalized-distance scale."""
+    return config_from_dict("huber", {}, **overrides)
 
 
 def run_study(study: str, config: StudyConfig | None = None) -> list[StudyRow]:
-    if study not in _RUNNERS:
-        raise ValueError(f"unknown study {study!r}")
-    return _RUNNERS[study](config)
+    """Every row of `study` under `config` (default: the study's defaults).
+
+    Cells are pure (own derived RNG each), so running them in the
+    MAGMETRIC_THREADS pool cannot change any value; the canonical sort fixes
+    the row order regardless of completion order.
+    """
+    spec = _study(study)
+    cfg = config if config is not None else default_config(study)
+    spec.check(cfg)
+    root = RngState(cfg.seed).derive(spec.salt)
+    cells = [(di * spec.dim_stride + ai * 1_000_000 + trial, dim, trial, arg)
+             for di, dim in enumerate(cfg.dims)
+             for ai, arg in enumerate(spec.args(cfg))
+             for trial in range(cfg.trials)]
+
+    def run_cell(cell) -> list[StudyRow]:
+        index, dim, trial, arg = cell
+        return [StudyRow(study, method, dim, trial, param, value, error)
+                for method, param, value, error
+                in spec.trial(cfg, root.derive(index), dim, arg)]
+
+    threads = _thread_count()
+    if threads == 1 or len(cells) <= 1:
+        chunks = [run_cell(cell) for cell in cells]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            chunks = list(pool.map(run_cell, cells))
+    rows = [row for chunk in chunks for row in chunk]
+    rows.sort(key=lambda r: (r.study, r.method, r.dim, r.trial, r.param))
+    return rows
 
 
 def write_rows(path, rows: list[StudyRow]) -> None:
@@ -430,9 +414,8 @@ def write_rows(path, rows: list[StudyRow]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in rows:
-            err = r.error.replace(",", ";").replace("\n", " ")
             fh.write(f"{r.study},{r.method},{r.dim},{r.trial},{r.param},"
-                     f"{fmt17(r.value)},{err}\n")
+                     f"{fmt17(r.value)},{r.error}\n")
 
 
 def summarize(rows: list[StudyRow]) -> dict:
@@ -442,27 +425,18 @@ def summarize(rows: list[StudyRow]) -> dict:
     rows are excluded. std is the population standard deviation; cv =
     std/mean (nan when the mean is zero).
     """
-    grouped: dict = {}
+    cells: dict = {}
     for r in rows:
-        if r.error:
-            continue
-        bucket = (grouped.setdefault(r.study, {})
-                  .setdefault(r.method, {})
-                  .setdefault(str(r.dim), {}))
-        bucket.setdefault(r.param, []).append(r.value)
+        if not r.error:
+            cells.setdefault((r.study, r.method, str(r.dim), r.param), []).append(r.value)
     out: dict = {}
-    for study, methods in grouped.items():
-        for method, dims in methods.items():
-            for dim, params in dims.items():
-                for param, vals in params.items():
-                    arr = np.asarray(vals)
-                    mean = float(arr.mean())
-                    std = float(arr.std())
-                    cv = std / mean if mean != 0.0 else float("nan")
-                    (out.setdefault(study, {}).setdefault(method, {})
-                        .setdefault(dim, {}))[param] = {
-                        "mean": mean, "std": std, "cv": cv,
-                        "count": int(arr.size)}
+    for (study, method, dim, param), vals in cells.items():
+        arr = np.asarray(vals)
+        mean = float(arr.mean())
+        std = float(arr.std())
+        cv = std / mean if mean != 0.0 else float("nan")
+        out.setdefault(study, {}).setdefault(method, {}).setdefault(dim, {})[param] = {
+            "mean": mean, "std": std, "cv": cv, "count": int(arr.size)}
     return out
 
 
@@ -483,14 +457,3 @@ def config_as_dict(cfg: StudyConfig) -> dict:
         if isinstance(val, tuple):
             d[key] = list(val)
     return d
-
-
-def config_from_dict(study: str, data: dict, **overrides) -> StudyConfig:
-    """Study defaults, updated by `data`, updated by keyword overrides."""
-    base = default_config(study)
-    known = set(asdict(base))
-    bad = set(data) - known
-    if bad:
-        raise ValueError(f"unknown config fields: {sorted(bad)}")
-    merged = {**data, **overrides}
-    return replace(base, **merged)

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import magmetric.cli
 from magmetric.cli import main
 from magmetric.core import PointSet, RngState, read_point_csv, sample_gaussian, write_point_csv
 
@@ -149,6 +150,35 @@ def test_non_finite_config_exits_2(csvs, capsys, tmp_path, argv, field):
     assert f"{field} must be finite" in err
     assert "config=" not in out
     assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--study", "outlier2d", "--dims", "3"], "outlier2d is a planar study"),
+    (["--study", "huber", "--scales", "0.1"], "huber needs exactly two scales"),
+    (["--study", "highdim", "--shifts", "1,2"], "highdim expects exactly one shift"),
+    (["--study", "tsweep", "--shifts", ""], "tsweep needs a shift grid"),
+])
+def test_study_requirements_exit_2_before_echo(tmp_path, capsys, argv, message):
+    code, out, err = run_cli(capsys, "experiment", *argv,
+                             "--out", str(tmp_path / "o.csv"))
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_missing_output_directory_exits_2_before_running(tmp_path, capsys,
+                                                          monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(magmetric.cli, "run_study", never)
+    code, out, err = run_cli(capsys, "experiment", "--study", "tsweep",
+                             "--out", str(tmp_path / "no" / "x.csv"))
+    assert code == 2
+    assert out == ""
+    assert "does not exist" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_flag_exits_2(csvs):

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import magmetric
+from magmetric import experiments
+from magmetric.cli import main
 from magmetric.experiments import (CSV_HEADER, StudyConfig, config_as_dict,
                                    config_from_dict, contamination_count,
                                    default_config, fmt17, huber_config,
@@ -16,8 +18,18 @@ from magmetric.experiments import (CSV_HEADER, StudyConfig, config_as_dict,
                                    recommend_scale, run_study, study_names,
                                    summarize, summary_path, tsweep_config,
                                    write_rows, write_summary)
+from magmetric.magnitude import CholeskyFailure
 
 SMALL = dict(trials=2, n_per_set=30)
+
+# per study: small overrides, a scale to fail at, and the rows one failed
+# solve turns into NaN rows
+STUDY_CASES = {
+    "tsweep": (dict(dims=(3,), shifts=(0.0, 1.0), scales=(0.2, 0.4), **SMALL), 0.2, 2),
+    "highdim": (dict(dims=(2, 10), **SMALL), 0.1, 1),
+    "outlier2d": (dict(SMALL), 5.0, 3),
+    "huber": (dict(epsilons=(0.05,), radii=(10.0, 100.0), **SMALL), 0.1, 1),
+}
 
 
 def test_study_names_and_defaults():
@@ -65,6 +77,18 @@ def test_config_validation():
                 StudyConfig(**{name: (good, bad)})
 
 
+def test_study_requirements_checked_when_built():
+    with pytest.raises(ValueError, match="outlier2d is a planar study"):
+        config_from_dict("outlier2d", {"dims": [3]})
+    for study, data in (("huber", {"scales": [0.1]}), ("highdim", {"shifts": [1, 2]}),
+                        ("tsweep", {"shifts": []})):
+        with pytest.raises(ValueError, match=study):
+            config_from_dict(study, data)
+    # run_study applies the same check to a config built for another study
+    with pytest.raises(ValueError, match="highdim expects exactly one shift"):
+        run_study("highdim", tsweep_config())
+
+
 def test_config_round_trip_and_unknown_fields():
     cfg = huber_config(trials=3)
     data = config_as_dict(cfg)
@@ -110,13 +134,13 @@ def test_rerun_rows_identical():
     assert a == b
 
 
-def test_threaded_run_matches_serial(tmp_path, monkeypatch):
-    cfg = highdim_config(dims=(2, 10), output_path=str(tmp_path / "a.csv"),
-                         **SMALL)
+@pytest.mark.parametrize("study", sorted(STUDY_CASES))
+def test_threaded_run_matches_serial(tmp_path, monkeypatch, study):
+    cfg = config_from_dict(study, STUDY_CASES[study][0])
     monkeypatch.setenv("MAGMETRIC_THREADS", "1")
-    serial = run_study("highdim", cfg)
+    serial = run_study(study, cfg)
     monkeypatch.setenv("MAGMETRIC_THREADS", "4")
-    threaded = run_study("highdim", cfg)
+    threaded = run_study(study, cfg)
     assert serial == threaded
     write_rows(str(tmp_path / "a.csv"), serial)
     write_rows(str(tmp_path / "b.csv"), threaded)
@@ -193,8 +217,54 @@ def test_fmt17_round_trips():
 
 
 def test_run_study_rejects_unknown():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown study"):
         run_study("mystery", None)
+    with pytest.raises(ValueError, match="unknown study"):
+        run_study("mystery", tsweep_config())
+
+
+@pytest.mark.parametrize("study", sorted(STUDY_CASES))
+def test_failed_solve_gives_nan_rows(study, monkeypatch, tmp_path, capsys):
+    overrides, bad_t, rows_per_failure = STUDY_CASES[study]
+    cfg = config_from_dict(study, overrides)
+    clean = run_study(study, cfg)
+    real = experiments.mag_distance
+    raised = []
+
+    def failing(x, y, t):
+        if t == bad_t:
+            raised.append(t)
+            raise CholeskyFailure("union matrix at pivot 3, near-duplicate points", 3)
+        return real(x, y, t)
+
+    monkeypatch.setattr(experiments, "mag_distance", failing)
+    rows = run_study(study, cfg)
+
+    def hit(r):  # the scale sits in the method label or ends the param
+        return f"[t={bad_t:g}]" in r.method or r.param.endswith(f"t={fmt17(bad_t)}")
+
+    assert [(r.method, r.dim, r.trial, r.param) for r in rows] == \
+        [(r.method, r.dim, r.trial, r.param) for r in clean]
+    failed = [r for r in rows if r.error]
+    assert raised and len(failed) == rows_per_failure * len(raised)
+    for r, c in zip(rows, clean):
+        if hit(r):
+            assert math.isnan(r.value)
+            assert r.error == ("CholeskyFailure: union matrix at pivot 3; "
+                               "near-duplicate points")
+        else:
+            assert r == c
+    assert summarize(rows) == summarize([c for c in clean if not hit(c)])
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(overrides))
+    out = str(tmp_path / "o.csv")
+    assert main(["experiment", "--study", study, "--out", out,
+                 "--config", str(cfg_path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["failed_rows"] == len(failed)
+    lines = open(out).read().splitlines()[1:]
+    assert all(len(line.split(",")) == 7 for line in lines)
+    assert sum(line.endswith("near-duplicate points") for line in lines) == len(failed)
 
 
 def test_study_bytes_independent_of_blas_threads(tmp_path):
