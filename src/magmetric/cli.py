@@ -160,6 +160,8 @@ def cmd_experiment(args) -> None:
     out_dir = os.path.dirname(cfg.output_path) or "."
     if not os.path.isdir(out_dir):
         raise ValueError(f"output directory {out_dir!r} does not exist")
+    if os.path.isdir(cfg.output_path):
+        raise ValueError(f"--out {cfg.output_path!r} is a directory, not a file")
     cfg_dict = config_as_dict(cfg)
     _echo(args, seed=cfg.seed)
     _echo(args, config=json.dumps(cfg_dict, sort_keys=True))

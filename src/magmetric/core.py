@@ -7,7 +7,9 @@ implementation (in any language) can reproduce every sample bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import math
+import threading
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -175,6 +177,31 @@ def _unique_rows(coords: np.ndarray):
     keys = c.view(np.dtype((np.void, c.dtype.itemsize * c.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     return c[first], first, inverse.ravel()
+
+
+def _pair_memo(fn):
+    """Reuse fn(X, Y)'s result while it is called on the same two PointSets.
+
+    Each thread keeps its last (X, Y, result). A PointSet is immutable, so a
+    call on the same two objects (by identity) gets the stored result. The slot
+    holds strong references, so neither id can be reused while it is stored,
+    and it is emptied before a new result is computed, so at most one result
+    per thread is alive. The result's arrays are made read-only.
+    """
+    local = threading.local()
+
+    @functools.wraps(fn)
+    def memo(X, Y):
+        last = getattr(local, "last", None)
+        if last is not None and last[0] is X and last[1] is Y:
+            return last[2]
+        local.last = None
+        result = fn(X, Y)
+        for arr in result:
+            arr.setflags(write=False)
+        local.last = (X, Y, result)
+        return result
+    return memo
 
 
 def _is_list_of(value, kind) -> bool:

@@ -4,7 +4,9 @@ The distance at scale t is 2*Mag(X u Y) - Mag(X) - Mag(Y); the normalized
 variant divides by Mag(X u Y). mag_distance and the training gradient share
 one core: one distance matrix and one zeta for the union, in a canonical row
 order so that swapping the arguments returns bit-identical numbers, with
-Mag(X) and Mag(Y) solved on principal blocks of that zeta.
+Mag(X) and Mag(Y) solved on principal blocks of that zeta. Only zeta and the
+solves depend on t: consecutive calls on the same two PointSets share one
+distance matrix.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import (PointSet, _require_same_dim, _unique_rows,
+from .core import (PointSet, _pair_memo, _require_same_dim, _unique_rows,
                    symmetric_difference_count, union_sets)
 from .core import dedupe  # noqa: F401 - bound for bench/tracer.py, unused here
 from .magnitude import (DEFAULT_EPS_SEP, DEFAULT_SUPPORT_TOL, CholeskyFailure,
@@ -106,10 +108,12 @@ class CrossPolytopeResult(NamedTuple):
     dense_gap: Optional[float] = None
 
 
+@_pair_memo
 def _union_geometry(X: PointSet, Y: PointSet):
     """(union, dists, x_rows, y_rows): the exact union X u Y in canonical
     order (which depends only on the point set, so a swap changes nothing),
-    its one distance matrix, and the union row of each point of X and of Y."""
+    its one distance matrix, and the union row of each point of X and of Y.
+    Read-only, and computed once for consecutive calls on the same pair."""
     _require_same_dim(X, Y)
     union, _, inverse = _unique_rows(np.concatenate([X.coords, Y.coords]))
     return union, cdist(union, union), inverse[:len(X)], inverse[len(X):]

@@ -187,11 +187,12 @@ def train(gen: Generator, data: PointSet, config: TrainConfig):
             z = rng.normals(config.batch_gen * gen.z_dim).reshape(
                 config.batch_gen, gen.z_dim)
             out, acts = _forward(gen, z)
+            generated = PointSet(out)  # one object, so the scales share its geometry
             try:
                 loss = 0.0
                 grad_out = np.zeros_like(out)
                 for t in active:
-                    val, grad = _value_and_gradient(real_batch, PointSet(out), t,
+                    val, grad = _value_and_gradient(real_batch, generated, t,
                                                     normalized=True)
                     loss += val
                     grad_out += grad

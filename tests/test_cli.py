@@ -181,6 +181,23 @@ def test_missing_output_directory_exits_2_before_running(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_output_directory_as_out_exits_2_before_running(tmp_path, capsys,
+                                                         monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(magmetric.cli, "run_study", never)
+    target = tmp_path / "x.csv"
+    target.mkdir()
+    code, out, err = run_cli(capsys, "experiment", "--study", "tsweep",
+                             "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert "is a directory" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+    assert list(target.iterdir()) == []
+
+
 def test_unknown_flag_exits_2(csvs):
     x, _ = csvs
     with pytest.raises(SystemExit) as err:

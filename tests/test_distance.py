@@ -1,14 +1,21 @@
 """Magnitude distance: reports, schedules, gradients, the triangle story."""
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from magmetric.core import PointSet, RngState, sample_gaussian, union_sets
+import magmetric.distance
+import magmetric.maggn
+from magmetric.core import (DimensionMismatch, PointSet, RngState,
+                            sample_gaussian, union_sets)
 from magmetric.distance import (ScaleSchedule, bound_check, check_triangle,
                                 cross_polytope_counterexample, limit_probe,
                                 mag_distance, mag_distance_gradient,
-                                multiscale_loss, _value_and_gradient)
+                                multiscale_loss, _union_geometry,
+                                _value_and_gradient)
+from magmetric.maggn import TrainConfig, init_generator, train
 from magmetric.magnitude import CoincidentPoints, magnitude
 
 
@@ -255,3 +262,119 @@ def test_bound_check_1d_and_separated():
     x3, y3 = _pair(2, n=20, dim=5)
     chk3 = bound_check(x3, y3, 0.01)
     assert not chk3.applicable
+
+
+# ------------------------------------------- one union geometry per pair
+
+
+@pytest.fixture
+def cdist_calls(monkeypatch):
+    """The row count of each union distance matrix built, in call order."""
+    calls = []
+    real = magmetric.distance.cdist
+
+    def counting(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(magmetric.distance, "cdist", counting)
+    return calls
+
+
+def _fresh(p: PointSet) -> PointSet:
+    return PointSet(p.coords)
+
+
+def test_scales_share_one_geometry(cdist_calls):
+    x, y = _pair(21, n=20, dim=5)
+    scales = (0.01, 0.1, 0.5, 2.0)
+    reports = [mag_distance(x, y, t) for t in scales]
+    assert len(cdist_calls) == 1
+    for t, rep in zip(scales, reports):
+        assert rep == mag_distance(_fresh(x), _fresh(y), t)
+    assert len(cdist_calls) == 1 + len(scales)
+
+
+def test_multiscale_loss_builds_one_geometry(cdist_calls):
+    x, y = _pair(22, n=12, dim=3)
+    s = ScaleSchedule.parse("0.5@1,1.0@2,1.5@3")
+    loss = multiscale_loss(x, y, s, epoch=3)
+    assert len(cdist_calls) == 1
+    assert loss == sum(mag_distance(_fresh(x), _fresh(y), t).normalized
+                       for t in (0.5, 1.0, 1.5))
+
+
+def test_train_builds_one_geometry_per_attempt(cdist_calls, monkeypatch):
+    pairs = []
+    real = magmetric.maggn._value_and_gradient
+
+    def recording(x, y, t, normalized):
+        pairs.append((x, y))  # held, so no id is reused within the test
+        return real(x, y, t, normalized=normalized)
+
+    monkeypatch.setattr(magmetric.maggn, "_value_and_gradient", recording)
+    data = sample_gaussian(RngState(23), 40, 2, mean=(3.0, 2.0), std=0.5)
+    cfg = TrainConfig(schedule=ScaleSchedule.parse("0.5@1,1.0@2,1.5@3"),
+                      epochs=3, batch_real=16, batch_gen=16,
+                      learning_rate=0.01, seed=5)
+    _, log = train(init_generator(RngState(4), (2, 8, 2)), data, cfg)
+    assert [(r.active_scales, r.error) for r in log.rows] == \
+        [(1, ""), (2, ""), (3, "")]
+    assert len(pairs) == 6
+    assert len(cdist_calls) == len({(id(x), id(y)) for x, y in pairs}) == 3
+
+
+def test_geometry_is_read_only():
+    x, y = _pair(24, n=6, dim=2)
+    for arr in _union_geometry(x, y):
+        assert arr.size
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = arr.flat[0]
+
+
+def test_geometry_recomputed_after_errors(cdist_calls):
+    x = PointSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    y = PointSet([[2.0, 2.0], [3.0, 1.0]])
+    clash = PointSet([[2.0, 2.0], [1.0, 0.0]])  # its second point is x's second
+    want = mag_distance(_fresh(x), _fresh(y), 0.9)
+    n_calls = len(cdist_calls)
+    assert mag_distance(x, y, 0.9) == want
+    with pytest.raises(DimensionMismatch):
+        mag_distance(x, PointSet([[1.0, 2.0, 3.0]]), 0.9)
+    assert mag_distance(x, y, 0.9) == want
+    with pytest.raises(CoincidentPoints):
+        _value_and_gradient(x, clash, 0.9, True)
+    # the failed pair's geometry is still right for a plain distance
+    assert mag_distance(x, clash, 0.9) == mag_distance(_fresh(x), _fresh(clash), 0.9)
+    assert mag_distance(x, y, 0.9) == want
+    # x,y  x,y(after mismatch)  x,clash  fresh clash  x,y
+    assert len(cdist_calls) - n_calls == 5
+
+
+def test_each_thread_keeps_its_own_geometry():
+    pairs = [_pair(30 + k, n=8, dim=3) for k in range(6)]
+    want = [mag_distance(_fresh(x), _fresh(y), 0.7) for x, y in pairs]
+    wrong = []
+
+    def worker(k):
+        x, y = pairs[k]
+        try:
+            for _ in range(200):
+                if mag_distance(x, y, 0.7) != want[k]:
+                    wrong.append(k)
+        except Exception as exc:  # a thread's exception would be lost
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(len(pairs))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
