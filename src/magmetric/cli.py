@@ -14,13 +14,13 @@ import os
 import sys
 
 from ._blas import THREADS as BLAS_THREADS
-from .core import DimensionMismatch, RngState, read_point_csv, write_point_csv
+from .core import DimensionMismatch, RngState, fmt17, read_point_csv, write_point_csv
 from .distance import (ScaleSchedule, bound_check, cross_polytope_counterexample,
                        mag_distance)
 from .experiments import (config_as_dict, config_from_dict, run_study,
                           study_names, summary_path, write_rows, write_summary)
 from .magnitude import (DEFAULT_SUPPORT_TOL, CholeskyFailure, CoincidentPoints,
-                        magnitude, magnitude_neumann)
+                        _geometry, _magnitude_at, _neumann_at)
 from .maggn import (TrainConfig, init_generator, load_checkpoint, sample,
                     save_checkpoint, train)
 
@@ -36,7 +36,7 @@ def _text(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format(float(value), ".17g")
+        return fmt17(value)
     return str(value)
 
 
@@ -87,16 +87,16 @@ STUDY_FLAGS = {
 
 def cmd_magnitude(args) -> None:
     _echo(args, seed=args.seed)
-    points = read_point_csv(args.input, skip_header=args.skip_header)
+    geometry = _geometry(read_point_csv(args.input, skip_header=args.skip_header))
     results = []
-    for t in args.t:
-        res = magnitude(points, t)
+    for t in args.t:  # every scale solves on the one geometry
+        res = _magnitude_at(geometry, t)
         weights = res.weighting.weights
         entry = {"t": t, "magnitude": res.magnitude, "residual": res.residual,
                  "nonneg_weighting": bool(weights.size == 0 or
                                           weights.min() >= -DEFAULT_SUPPORT_TOL)}
         if args.neumann:
-            est = magnitude_neumann(points, t)
+            est = _neumann_at(geometry, t)
             entry.update({"neumann": est.estimate,
                           "neumann_gap": res.magnitude - est.estimate,
                           "neumann_reliable": est.reliable})

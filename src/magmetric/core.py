@@ -302,9 +302,14 @@ def read_point_csv(path, skip_header: bool = False) -> PointSet:
     return PointSet(np.asarray(rows))
 
 
+def fmt17(x) -> str:
+    """Canonical float rendering: 17 significant digits, round-trip exact."""
+    return format(float(x), ".17g")
+
+
 def write_point_csv(path, X: PointSet) -> None:
     """Write a point set in the same CSV dialect (LF, 17 significant digits)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in X.coords:
-            fh.write(",".join(format(v, ".17g") for v in row))
+            fh.write(",".join(fmt17(v) for v in row))
             fh.write("\n")

@@ -235,15 +235,14 @@ def _value_and_gradient(X: PointSet, Y: PointSet, t: float, normalized: bool,
 
 
 def mag_distance_gradient(X: PointSet, Y: PointSet, t: float,
-                          normalized: bool = False,
-                          eps_sep: float = DEFAULT_EPS_SEP) -> np.ndarray:
+                          normalized: bool = False) -> np.ndarray:
     """Gradient of the (optionally normalized) distance in Y's coordinates.
 
     |Y| x D, row per point of Y. X is treated as fixed data. Any pair
-    (y, y') or (y, x) closer than eps_sep raises CoincidentPoints naming
-    the offenders.
+    (y, y') or (y, x) closer than DEFAULT_EPS_SEP raises CoincidentPoints
+    naming the offenders.
     """
-    return _value_and_gradient(X, Y, t, normalized, eps_sep)[1]
+    return _value_and_gradient(X, Y, t, normalized)[1]
 
 
 def check_triangle(X: PointSet, Y: PointSet, Z: PointSet, t: float) -> float:

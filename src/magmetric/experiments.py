@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .baselines import KernelSpec, mmd_squared, sliced_wasserstein
-from .core import PointSet, RngState, _is_list_of, sample_gaussian
+from .core import PointSet, RngState, _is_list_of, fmt17, sample_gaussian
 from .distance import mag_distance
 from .magnitude import CholeskyFailure, _require_scale
 
@@ -29,11 +29,6 @@ SW_PROJECTIONS = 128
 OUTLIER2D_SHIFT = (2.0, 2.0)
 OUTLIER2D_NOISE_POINTS = 10
 OUTLIER2D_NOISE_STD = 6.0
-
-
-def fmt17(x) -> str:
-    """Canonical float rendering: 17 significant digits, round-trip exact."""
-    return format(float(x), ".17g")
 
 
 # StudyConfig list fields: accepted item type, stored item type

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DimensionMismatch, PointSet, RngState, _is_list_of
+from .core import DimensionMismatch, PointSet, RngState, _is_list_of, fmt17
 from .distance import ScaleSchedule, _value_and_gradient
 from .magnitude import CoincidentPoints
 
@@ -84,8 +84,8 @@ class TrainLog:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(TRAIN_LOG_HEADER + "\n")
             for r in self.rows:
-                fh.write(f"{r.epoch},{r.active_scales},{format(r.loss, '.17g')},"
-                         f"{format(r.grad_norm, '.17g')},{format(r.seconds, '.17g')}\n")
+                fh.write(f"{r.epoch},{r.active_scales},{fmt17(r.loss)},"
+                         f"{fmt17(r.grad_norm)},{fmt17(r.seconds)}\n")
 
 
 def init_generator(rng: RngState, layer_dims) -> Generator:

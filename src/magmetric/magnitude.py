@@ -103,13 +103,11 @@ def _solve_ones(zeta: np.ndarray, jitter: bool):
         applied = JITTER_COEFF * n
         mat = zeta + applied * np.eye(n)
     factor, info = dpotrf(mat, lower=1)
-    if info > 0:
-        lead = np.diag(factor)[: info - 1]
-        hint = float((lead.max() / lead.min()) ** 2) if lead.size else math.inf
+    if info > 0:  # no factor, so no condition estimate either
         raise CholeskyFailure(
-            f"similarity matrix is not positive definite at pivot {info} of {n} "
-            f"(condition hint {hint:.3e}); near-duplicate points or extreme scale",
-            pivot=int(info), condition_hint=hint)
+            f"similarity matrix is not positive definite at pivot {info} of {n}; "
+            f"near-duplicate points or extreme scale",
+            pivot=int(info), condition_hint=math.inf)
     if info < 0:  # pragma: no cover - argument error, not a data condition
         raise CholeskyFailure(f"internal Cholesky error (lapack info {info})")
     diag = np.diag(factor)
@@ -127,6 +125,38 @@ def _solve_ones(zeta: np.ndarray, jitter: bool):
     return w.ravel(), residual, hint, applied
 
 
+def _geometry(X: PointSet):
+    """(reps, multiplicity, dists): X's distinct points in first-occurrence
+    order, their group sizes and their distance matrix. None of it depends
+    on t, so a sweep over scales builds it once."""
+    reps, mult = dedupe(X)
+    return reps, mult, (pairwise_distances(reps) if len(reps) else np.zeros((0, 0)))
+
+
+def _magnitude_at(geometry, t: float, jitter: bool = False) -> MagnitudeResult:
+    """Solve zeta = exp(-t * dists) on a geometry; the empty set has magnitude 0."""
+    _require_scale(t)
+    reps, mult, dists = geometry
+    if len(reps) == 0:
+        w, residual, hint, applied = np.zeros(0), 0.0, 1.0, 0.0
+    else:
+        w, residual, hint, applied = _solve_ones(np.exp(-t * dists), jitter)
+    wv = WeightingVector(points=reps, weights=w, scale=float(t), multiplicity=mult,
+                         residual=residual, condition_hint=hint, jitter=applied)
+    return MagnitudeResult(float(w.sum()), wv, residual, hint)
+
+
+def _neumann_at(geometry, t: float) -> NeumannEstimate:
+    _require_scale(t)
+    reps, _, dists = geometry
+    n = len(reps)
+    if n <= 1:
+        return NeumannEstimate(float(n), True, 0.0)
+    off = np.exp(-t * dists) - np.eye(n)
+    proxy = float(off.sum(axis=1).max())
+    return NeumannEstimate(float(n) - float(off.sum()), proxy < 1.0, proxy)
+
+
 def weighting(X: PointSet, t: float, jitter: bool = False) -> WeightingVector:
     """Magnitude weighting of X at scale t.
 
@@ -135,37 +165,25 @@ def weighting(X: PointSet, t: float, jitter: bool = False) -> WeightingVector:
     """
     if len(X) == 0:
         raise ValueError("weighting needs a nonempty set")
-    _require_scale(t)
-    reps, mult = dedupe(X)
-    zeta = np.exp(-t * pairwise_distances(reps))
-    w, residual, hint, applied = _solve_ones(zeta, jitter)
-    return WeightingVector(points=reps, weights=w, scale=float(t),
-                           multiplicity=mult, residual=residual,
-                           condition_hint=hint, jitter=applied)
+    return magnitude(X, t, jitter).weighting
 
 
 def magnitude(X: PointSet, t: float, jitter: bool = False) -> MagnitudeResult:
     """Sum of the weighting entries; 0 for the empty set, 1 for singletons."""
-    _require_scale(t)
-    if len(X) == 0:
-        empty = WeightingVector(points=X, weights=np.zeros(0), scale=float(t),
-                                multiplicity=np.zeros(0, dtype=np.intp),
-                                residual=0.0, condition_hint=1.0)
-        return MagnitudeResult(0.0, empty, 0.0, 1.0)
-    wv = weighting(X, t, jitter=jitter)
-    return MagnitudeResult(float(wv.weights.sum()), wv, wv.residual, wv.condition_hint)
+    return _magnitude_at(_geometry(X), t, jitter)
 
 
 def magnitude_function(X: PointSet, ts) -> list[ScalePoint]:
-    """Magnitude at each scale in ts; per-t solver failures are recorded
-    in the returned entries instead of aborting the sweep."""
+    """Magnitude at each scale in ts, all on one geometry; per-t solver
+    failures are recorded in the returned entries instead of aborting the sweep."""
     ts = list(ts)
     if not ts:
         raise ValueError("ts must be nonempty")
+    geometry = _geometry(X)
     out = []
     for t in ts:
         try:
-            res = magnitude(X, t)
+            res = _magnitude_at(geometry, t)
             out.append(ScalePoint(float(t), res.magnitude, res))
         except (CholeskyFailure, ValueError) as exc:
             out.append(ScalePoint(float(t), float("nan"), None, error=str(exc)))
@@ -178,24 +196,7 @@ def magnitude_neumann(X: PointSet, t: float) -> NeumannEstimate:
     Cheap (no solve). `reliable` is False when the spectral radius proxy
     max_i sum_{j != i} zeta_ij reaches 1, where the series may diverge.
     """
-    _require_scale(t)
-    if len(X) == 0:
-        return NeumannEstimate(0.0, True, 0.0)
-    reps, _ = dedupe(X)
-    n = len(reps)
-    if n == 1:
-        return NeumannEstimate(1.0, True, 0.0)
-    zeta = np.exp(-t * pairwise_distances(reps))
-    off = zeta - np.eye(n)
-    proxy = float(off.sum(axis=1).max())
-    return NeumannEstimate(float(n) - float(off.sum()), proxy < 1.0, proxy)
-
-
-def _min_offdiag(dists: np.ndarray):
-    n = dists.shape[0]
-    masked = dists + np.diag(np.full(n, np.inf))
-    flat = int(np.argmin(masked))
-    return flat // n, flat % n, float(masked.flat[flat])
+    return _neumann_at(_geometry(X), t)
 
 
 def _gradient_rows(coords: np.ndarray, dists: np.ndarray, zeta: np.ndarray,
@@ -215,25 +216,22 @@ def _gradient_rows(coords: np.ndarray, dists: np.ndarray, zeta: np.ndarray,
     return 2.0 * t * (m.sum(axis=1)[:, None] * coords[rows] - m @ coords)
 
 
-def magnitude_gradient(X: PointSet, t: float, eps_sep: float = DEFAULT_EPS_SEP) -> np.ndarray:
+def magnitude_gradient(X: PointSet, t: float) -> np.ndarray:
     """d magnitude / d x_k for every representative; |X'| x D.
 
     Differentiates through the solve: dMag/dtheta = -w^T (dzeta/dtheta) w.
     The Euclidean norm has no gradient at coincidence, so any surviving
-    pair closer than eps_sep is a hard CoincidentPoints error.
+    pair closer than DEFAULT_EPS_SEP is a hard CoincidentPoints error.
     """
     _require_scale(t)
-    reps, _ = dedupe(X)
+    reps, _, dists = _geometry(X)
     n = len(reps)
-    if n == 0:
-        return np.zeros((0, X.dim))
-    if n == 1:
-        return np.zeros((1, reps.dim))
-    dists = pairwise_distances(reps)
-    i, j, d = _min_offdiag(dists)
-    if d < eps_sep:
-        raise CoincidentPoints(i, j, d)
+    if n <= 1:
+        return np.zeros((n, X.dim))
+    masked = dists + np.diag(np.full(n, np.inf))  # ignore a point's distance to itself
+    k = int(np.argmin(masked))
+    if masked.flat[k] < DEFAULT_EPS_SEP:
+        raise CoincidentPoints(k // n, k % n, float(masked.flat[k]))
     zeta = np.exp(-t * dists)
     w, _, _, _ = _solve_ones(zeta, False)
     return _gradient_rows(reps.coords, dists, zeta, w, t, np.arange(n))
-

@@ -1,4 +1,5 @@
 """CLI: exit codes, seed echo, JSON envelope, end-to-end subcommands."""
+import importlib
 import json
 import os
 
@@ -7,7 +8,9 @@ import pytest
 
 import magmetric.cli
 from magmetric.cli import main
-from magmetric.core import PointSet, RngState, read_point_csv, sample_gaussian, write_point_csv
+from magmetric.core import (PointSet, RngState, fmt17, read_point_csv, sample_gaussian,
+                            write_point_csv)
+from magmetric.magnitude import magnitude, magnitude_neumann
 
 
 @pytest.fixture()
@@ -134,6 +137,46 @@ def test_non_finite_scale_exits_2(csvs, capsys, command, t):
     assert code == 2
     assert "finite and positive" in err
     assert "nan" not in out
+
+
+@pytest.mark.parametrize("command,solve", [
+    ("magnitude", "similarity matrix is not positive definite at pivot 2 of 2"),
+    ("distance", "union solve failed: similarity matrix is not positive "
+                 "definite at pivot 3 of 3"),
+])
+def test_failed_solve_exits_3(capsys, tmp_path, command, solve):
+    # 0 and 1e-17 are distinct points, but their zeta is singular in floats
+    pair = tmp_path / "pair.csv"
+    pair.write_text("0\n1e-17\n")
+    five = tmp_path / "five.csv"
+    five.write_text("5\n")
+    inputs = (["--input", str(pair)] if command == "magnitude"
+              else ["--x", str(pair), "--y", str(five)])
+    code, out, err = run_cli(capsys, command, *inputs, "--t", "1")
+    assert code == 3
+    assert err.startswith("error: " + solve)
+    assert out == "seed=42\n"
+
+
+def test_magnitude_builds_one_geometry_for_all_scales(csvs, capsys, monkeypatch):
+    x, _ = csvs
+    module = importlib.import_module("magmetric.magnitude")
+    calls = []
+    real = module.pairwise_distances
+
+    def counting(X):
+        calls.append(len(X))
+        return real(X)
+
+    monkeypatch.setattr(module, "pairwise_distances", counting)
+    code, out, _ = run_cli(capsys, "magnitude", "--input", x, "--t", "0.5",
+                           "--t", "1.0", "--t", "2.0", "--neumann")
+    assert code == 0
+    assert calls == [20]
+    points = read_point_csv(x)
+    for line, t in zip(out.splitlines()[1:], (0.5, 1.0, 2.0)):
+        assert f" magnitude={fmt17(magnitude(points, t).magnitude)} " in line
+        assert f" neumann={fmt17(magnitude_neumann(points, t).estimate)} " in line
 
 
 @pytest.mark.parametrize("argv,field", [

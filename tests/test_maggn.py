@@ -6,11 +6,15 @@ import os
 import numpy as np
 import pytest
 
-from magmetric.core import DimensionMismatch, PointSet, RngState, sample_gaussian
+import magmetric.maggn
+from magmetric.cli import main
+from magmetric.core import (DimensionMismatch, PointSet, RngState, sample_gaussian,
+                            write_point_csv)
 from magmetric.distance import ScaleSchedule, multiscale_loss
 from magmetric.maggn import (TRAIN_LOG_HEADER, Generator, TrainConfig,
                              TrainLog, forward, init_generator,
                              load_checkpoint, sample, save_checkpoint, train)
+from magmetric.magnitude import CoincidentPoints
 
 
 def small_schedule():
@@ -250,3 +254,81 @@ def test_train_rejects_wrong_data_dim():
                       batch_gen=8, learning_rate=0.01, seed=2)
     with pytest.raises(DimensionMismatch):
         train(gen, data, cfg)
+
+
+def _params(gen: Generator) -> list:
+    return [p.copy() for p in gen.weights + gen.biases]
+
+
+def _moved(gen: Generator, before: list) -> bool:
+    return any(not np.array_equal(p, q) for p, q in zip(gen.weights + gen.biases, before))
+
+
+def _one_scale_config(schedule: str, epochs: int) -> TrainConfig:
+    return TrainConfig(schedule=ScaleSchedule.parse(schedule), epochs=epochs,
+                       batch_real=16, batch_gen=16, learning_rate=0.01, seed=4)
+
+
+def test_inactive_epochs_log_zero_and_hold_parameters(monkeypatch):
+    scales = []
+    real = magmetric.maggn._value_and_gradient
+
+    def recording(x, y, t, normalized):
+        scales.append(t)
+        return real(x, y, t, normalized=normalized)
+
+    monkeypatch.setattr(magmetric.maggn, "_value_and_gradient", recording)
+    gen = init_generator(RngState(3), (2, 8, 2))
+    before = _params(gen)
+    gen, log = train(gen, _data(), _one_scale_config("0.5@3", epochs=2))
+    assert [(r.epoch, r.active_scales, r.loss, r.grad_norm, r.error)
+            for r in log.rows] == [(1, 0, 0.0, 0.0, ""), (2, 0, 0.0, 0.0, "")]
+    assert scales == [] and not _moved(gen, before)
+    # epoch 3 activates the scale and takes the first step
+    gen, log = train(init_generator(RngState(3), (2, 8, 2)), _data(),
+                     _one_scale_config("0.5@3", epochs=3))
+    assert log.rows[2].active_scales == 1 and log.rows[2].loss > 0.0
+    assert scales == [0.5] and _moved(gen, before)
+
+
+def test_coincident_points_retry_with_a_fresh_batch(monkeypatch):
+    batches = []
+    real = magmetric.maggn._value_and_gradient
+
+    def flaky(x, y, t, normalized):
+        batches.append(y.coords.copy())
+        if len(batches) == 1:
+            raise CoincidentPoints(0, 1, 0.0)
+        return real(x, y, t, normalized=normalized)
+
+    monkeypatch.setattr(magmetric.maggn, "_value_and_gradient", flaky)
+    gen = init_generator(RngState(3), (2, 8, 2))
+    before = _params(gen)
+    gen, log = train(gen, _data(), _one_scale_config("0.5@1", epochs=1))
+    assert len(log.rows) == 1
+    row = log.rows[0]
+    assert row.error == "" and math.isfinite(row.loss) and math.isfinite(row.grad_norm)
+    assert len(batches) == 2 and not np.array_equal(batches[0], batches[1])
+    assert _moved(gen, before)
+
+
+def test_two_coincident_failures_log_an_error_row(monkeypatch, tmp_path, capsys):
+    def coincident(x, y, t, normalized):
+        raise CoincidentPoints(2, 5, 1e-12)
+
+    monkeypatch.setattr(magmetric.maggn, "_value_and_gradient", coincident)
+    gen = init_generator(RngState(3), (2, 8, 2))
+    before = _params(gen)
+    gen, log = train(gen, _data(), _one_scale_config("0.5@1", epochs=2))
+    assert len(log.rows) == 2
+    for row in log.rows:
+        assert math.isnan(row.loss) and math.isnan(row.grad_norm)
+        assert row.error.startswith("CoincidentPoints:")
+    assert not _moved(gen, before)
+    data_csv = str(tmp_path / "data.csv")
+    write_point_csv(data_csv, _data())
+    code = main(["maggn", "train", "--data", data_csv, "--schedule", "0.5@1",
+                 "--epochs", "2", "--out", str(tmp_path / "run"), "--json"])
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert code == 0
+    assert results["error_epochs"] == 2 and math.isnan(results["final_loss"])

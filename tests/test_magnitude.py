@@ -1,14 +1,18 @@
 """Magnitude solves, weightings, gradients, scale checks."""
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from magmetric.core import PointSet, RngState, sample_gaussian
-from magmetric.magnitude import (CholeskyFailure, CoincidentPoints, _solve_ones,
-                                 magnitude, magnitude_function,
+from magmetric.magnitude import (CholeskyFailure, CoincidentPoints, NeumannEstimate,
+                                 _solve_ones, magnitude, magnitude_function,
                                  magnitude_gradient, magnitude_neumann,
                                  weighting)
+
+# the module itself: the package's `magnitude` attribute is the function
+MAGNITUDE = importlib.import_module("magmetric.magnitude")
 
 
 def two_point_closed_form(t: float, d: float) -> float:
@@ -29,6 +33,29 @@ def test_empty_and_singleton():
     res = magnitude(PointSet([[3.0, 4.0]]), 0.7)
     assert res.magnitude == pytest.approx(1.0, abs=1e-15)
     assert res.weighting.weights.tolist() == [1.0]
+    empty = PointSet.empty(3)
+    res = magnitude(empty, 0.7)
+    assert (res.magnitude, res.residual, res.condition_hint) == (0.0, 0.0, 1.0)
+    wv = res.weighting
+    assert wv.points is empty and wv.weights.shape == (0,)
+    assert wv.multiplicity.shape == (0,) and wv.multiplicity.dtype == np.intp
+    assert (wv.scale, wv.residual, wv.condition_hint, wv.jitter) == (0.7, 0.0, 1.0, 0.0)
+    assert magnitude_neumann(empty, 0.7) == NeumannEstimate(0.0, True, 0.0)
+    assert magnitude_gradient(empty, 0.7).shape == (0, 3)
+    with pytest.raises(ValueError, match="nonempty"):
+        weighting(empty, 0.7)
+    # one distinct point, given three times
+    single = PointSet([[3.0, -4.0]] * 3)
+    res = magnitude(single, 0.7)
+    assert (res.magnitude, res.residual, res.condition_hint) == (1.0, 0.0, 1.0)
+    assert res.weighting.multiplicity.tolist() == [3]
+    assert res.weighting.points.coords.tolist() == [[3.0, -4.0]]
+    assert magnitude_neumann(single, 0.7) == NeumannEstimate(1.0, True, 0.0)
+    assert np.array_equal(magnitude_gradient(single, 0.7), np.zeros((1, 2)))
+    for fn in (magnitude, magnitude_neumann, magnitude_gradient):
+        for pts in (empty, single):
+            with pytest.raises(ValueError, match="finite"):
+                fn(pts, -1.0)
 
 
 def test_scale_must_be_positive():
@@ -83,6 +110,42 @@ def test_magnitude_function_multiple_scales():
     assert math.isnan(mixed[1].magnitude)
 
 
+@pytest.fixture()
+def pdist_calls(monkeypatch):
+    """The row count of each distance matrix magnitude.py builds."""
+    calls = []
+    real = MAGNITUDE.pairwise_distances
+
+    def counting(X):
+        calls.append(len(X))
+        return real(X)
+
+    monkeypatch.setattr(MAGNITUDE, "pairwise_distances", counting)
+    return calls
+
+
+def test_magnitude_function_builds_one_geometry(pdist_calls):
+    pts = sample_gaussian(RngState(5), 15, 3)
+    pts = PointSet(np.vstack([pts.coords, pts.coords[[1, 4]]]))  # 2 duplicates
+    scales = (0.2, 1.0, -1.0, 3.0)
+    out = magnitude_function(pts, scales)
+    assert pdist_calls == [15]
+    assert [p.t for p in out] == list(scales)
+    assert out[2].result is None and math.isnan(out[2].magnitude)
+    assert out[2].error == "scale t must be finite and positive"
+    for p in (out[0], out[1], out[3]):
+        want = magnitude(PointSet(pts.coords), p.t)
+        got = p.result
+        assert p.error == "" and p.magnitude == want.magnitude
+        assert (got.magnitude, got.residual, got.condition_hint) == \
+            (want.magnitude, want.residual, want.condition_hint)
+        assert got.weighting.weights.tobytes() == want.weighting.weights.tobytes()
+        assert got.weighting.points.coords.tobytes() == \
+            want.weighting.points.coords.tobytes()
+        assert np.array_equal(got.weighting.multiplicity, want.weighting.multiplicity)
+    assert len(pdist_calls) == 4
+
+
 def test_neumann_two_point_matches_series():
     # n - sum of off-diagonal similarities; for two points: 2 - 2e^{-td}
     pts = PointSet([[0.0], [1.0]])
@@ -128,13 +191,15 @@ def test_gradient_rejects_coincident_points():
 
 
 def test_cholesky_failure_reports_pivot():
-    # duplicated rows with tol-based dedupe disabled via direct solve:
-    # coincident points make zeta singular, caught as a failing pivot
+    # the solver alone, handed a matrix that is not positive definite: the
+    # factor fails at a pivot and, with no factor, has no condition estimate
     zeta = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
     with pytest.raises(CholeskyFailure) as err:
         _solve_ones(zeta, jitter=False)
     assert err.value.pivot == 2
     assert "pivot" in str(err.value)
+    assert err.value.condition_hint == math.inf
+    assert "condition hint" not in str(err.value)
 
 
 def test_jitter_opt_in_rescues_near_singular():
