@@ -11,15 +11,13 @@ from .core import (DimensionMismatch, PointCsvError, PointSet, RngState,
                    dedupe, pairwise_distances, read_point_csv, sample_gaussian,
                    symmetric_difference_count, union_sets, write_point_csv)
 from .magnitude import (CholeskyFailure, CoincidentPoints, MagnitudeResult,
-                        NeumannEstimate, ScalePoint, WeightingVector,
-                        magnitude, magnitude_function, magnitude_gradient,
-                        magnitude_neumann, weighting)
+                        ScalePoint, WeightingVector, magnitude,
+                        magnitude_function, magnitude_gradient, weighting)
 from .distance import (BoundCheck, CrossPolytopeResult, DistanceReport,
                        LimitProbe, ScaleSchedule, bound_check, check_triangle,
                        cross_polytope_counterexample, limit_probe,
                        mag_distance, mag_distance_gradient, multiscale_loss)
-from .baselines import (KernelSpec, mmd_squared, sliced_wasserstein,
-                        wasserstein_1d)
+from .baselines import mmd_squared, sliced_wasserstein, wasserstein_1d
 from .experiments import (StudyConfig, StudyRow, config_as_dict,
                           config_from_dict, default_config, recommend_scale,
                           run_study, study_names, summarize, summary_path,
@@ -37,16 +35,16 @@ __all__ = [
     "dedupe", "pairwise_distances", "read_point_csv", "sample_gaussian",
     "symmetric_difference_count", "union_sets", "write_point_csv",
     # magnitude
-    "CholeskyFailure", "CoincidentPoints", "MagnitudeResult", "NeumannEstimate",
-    "ScalePoint", "WeightingVector", "magnitude", "magnitude_function",
-    "magnitude_gradient", "magnitude_neumann", "weighting",
+    "CholeskyFailure", "CoincidentPoints", "MagnitudeResult", "ScalePoint",
+    "WeightingVector", "magnitude", "magnitude_function", "magnitude_gradient",
+    "weighting",
     # distance
     "BoundCheck", "CrossPolytopeResult", "DistanceReport", "LimitProbe",
     "ScaleSchedule", "bound_check", "check_triangle",
     "cross_polytope_counterexample", "limit_probe", "mag_distance",
     "mag_distance_gradient", "multiscale_loss",
     # baselines
-    "KernelSpec", "mmd_squared", "sliced_wasserstein", "wasserstein_1d",
+    "mmd_squared", "sliced_wasserstein", "wasserstein_1d",
     # experiments
     "StudyConfig", "StudyRow", "config_as_dict", "config_from_dict",
     "default_config", "recommend_scale", "run_study", "study_names",

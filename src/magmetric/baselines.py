@@ -1,8 +1,6 @@
 """Reference two-sample distances: kernel MMD and (sliced) Wasserstein."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial.distance import cdist
 
@@ -10,40 +8,24 @@ from .core import PointSet, RngState, _require_same_dim
 from .magnitude import _require_scale
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Kernel family plus its one parameter.
-
-    'exponential' uses exp(-parameter * ||x - y||) (parameter = rate);
-    'gaussian' uses exp(-||x - y||^2 / (2 * parameter^2)) (parameter = bandwidth).
-    """
-
-    family: str
-    parameter: float
-
-    def __post_init__(self):
-        if self.family not in ("exponential", "gaussian"):
-            raise ValueError(f"unknown kernel family {self.family!r}")
-        _require_scale(self.parameter, "kernel parameter")
-
-    def gram(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.family == "exponential":
-            return np.exp(-self.parameter * cdist(a, b))
-        return np.exp(-cdist(a, b, "sqeuclidean") / (2.0 * self.parameter**2))
+def _gaussian_gram(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
+    """exp(-||a_i - b_j||^2 / (2 * sigma^2)) for every row pair."""
+    return np.exp(-cdist(a, b, "sqeuclidean") / (2.0 * sigma**2))
 
 
-def mmd_squared(X: PointSet, Y: PointSet, kernel: KernelSpec) -> float:
-    """Biased squared-MMD V-statistic.
+def mmd_squared(X: PointSet, Y: PointSet, sigma: float) -> float:
+    """Biased squared-MMD V-statistic under the Gaussian kernel of bandwidth sigma.
 
     mean(Kxx) + mean(Kyy) - 2*mean(Kxy) with the diagonal terms included,
     which is what makes Y = X give exactly 0.
     """
+    _require_scale(sigma, "bandwidth sigma")
     _require_same_dim(X, Y)
     if len(X) == 0 or len(Y) == 0:
         raise ValueError("mmd_squared needs nonempty sets")
-    k_xx = kernel.gram(X.coords, X.coords).mean()
-    k_yy = kernel.gram(Y.coords, Y.coords).mean()
-    k_xy = kernel.gram(X.coords, Y.coords).mean()
+    k_xx = _gaussian_gram(X.coords, X.coords, sigma).mean()
+    k_yy = _gaussian_gram(Y.coords, Y.coords, sigma).mean()
+    k_xy = _gaussian_gram(X.coords, Y.coords, sigma).mean()
     return float(k_xx + k_yy - 2.0 * k_xy)
 
 

@@ -20,7 +20,7 @@ from .distance import (ScaleSchedule, bound_check, cross_polytope_counterexample
 from .experiments import (config_as_dict, config_from_dict, run_study,
                           study_names, summary_path, write_rows, write_summary)
 from .magnitude import (DEFAULT_SUPPORT_TOL, CholeskyFailure, CoincidentPoints,
-                        _geometry, _magnitude_at, _neumann_at)
+                        _geometry, _magnitude_at)
 from .maggn import (TrainConfig, init_generator, load_checkpoint, sample,
                     save_checkpoint, train)
 
@@ -92,17 +92,10 @@ def cmd_magnitude(args) -> None:
     for t in args.t:  # every scale solves on the one geometry
         res = _magnitude_at(geometry, t)
         weights = res.weighting.weights
-        entry = {"t": t, "magnitude": res.magnitude, "residual": res.residual,
-                 "nonneg_weighting": bool(weights.size == 0 or
-                                          weights.min() >= -DEFAULT_SUPPORT_TOL)}
-        if args.neumann:
-            est = _neumann_at(geometry, t)
-            entry.update({"neumann": est.estimate,
-                          "neumann_gap": res.magnitude - est.estimate,
-                          "neumann_reliable": est.reliable})
-        results.append(entry)
-    _report(args, "magnitude", args.seed,
-            {"input": args.input, "t": list(args.t), "neumann": args.neumann},
+        results.append({"t": t, "magnitude": res.magnitude, "residual": res.residual,
+                        "nonneg_weighting": bool(weights.size == 0 or
+                                                 weights.min() >= -DEFAULT_SUPPORT_TOL)})
+    _report(args, "magnitude", args.seed, {"input": args.input, "t": list(args.t)},
             results)
 
 
@@ -118,7 +111,7 @@ def cmd_distance(args) -> None:
         if args.normalized:
             entry["normalized"] = rep.normalized
         if args.bound_check:
-            chk = bound_check(x, y, t)
+            chk = bound_check(rep)
             entry.update({"applicable": chk.applicable, "holds": chk.holds})
         results.append(entry)
     _report(args, "distance", args.seed,
@@ -184,8 +177,7 @@ def cmd_maggn_train(args) -> None:
               f"activates within --epochs {args.epochs}", file=sys.stderr)
     config = TrainConfig(schedule=schedule, epochs=args.epochs,
                          batch_real=args.batch_real, batch_gen=args.batch_gen,
-                         learning_rate=args.lr,
-                         normalized_loss=not args.raw_loss, seed=args.seed)
+                         learning_rate=args.lr, seed=args.seed)
     data = read_point_csv(args.data, skip_header=args.skip_header)
     os.makedirs(args.out, exist_ok=True)
     rng = RngState(args.seed)
@@ -236,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mag.add_argument("--input", required=True, help="point CSV (one point per line)")
     p_mag.add_argument("--t", type=float, action="append", required=True,
                        help="scale; repeatable")
-    p_mag.add_argument("--neumann", action="store_true",
-                       help="also report the first-order large-t estimate")
     p_mag.add_argument("--skip-header", action="store_true",
                        help="skip the first CSV line")
     _add_common(p_mag)
@@ -289,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lr", type=float, default=1e-3)
     p_train.add_argument("--batch-real", type=int, dest="batch_real", default=64)
     p_train.add_argument("--batch-gen", type=int, dest="batch_gen", default=64)
-    p_train.add_argument("--raw-loss", action="store_true", dest="raw_loss",
-                         help="sum active scales instead of averaging them")
     p_train.add_argument("--skip-header", action="store_true")
     _add_common(p_train)
     p_train.set_defaults(func=cmd_maggn_train)

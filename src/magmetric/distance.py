@@ -288,10 +288,10 @@ def cross_polytope_counterexample(dim: int, t: float,
     return CrossPolytopeResult(x, z, gap, slack, dense_gap)
 
 
-def bound_check(X: PointSet, Y: PointSet, t: float) -> BoundCheck:
-    """Check 0 <= distance <= 2|X u Y| (guaranteed when all weightings are
-    nonnegative; `applicable` reports whether that hypothesis held)."""
-    rep = mag_distance(X, Y, t)
+def bound_check(rep: DistanceReport) -> BoundCheck:
+    """Check 0 <= distance <= 2|X u Y| on a mag_distance report (guaranteed
+    when all weightings are nonnegative; `applicable` reports whether that
+    hypothesis held)."""
     applicable = all(rep.nonneg_weightings)
     holds = bool(-1e-9 <= rep.distance <= rep.bound_2card + 1e-9)
     return BoundCheck(holds, applicable)

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .baselines import KernelSpec, mmd_squared, sliced_wasserstein
+from .baselines import mmd_squared, sliced_wasserstein
 from .core import PointSet, RngState, _is_list_of, fmt17, sample_gaussian
 from .distance import mag_distance
 from .magnitude import CholeskyFailure, _require_scale
@@ -131,19 +131,25 @@ def _shift_vector(mode: str, value: float, dim: int) -> np.ndarray:
     return vec
 
 
-def _solve_rows(keys, pick, t, *pairs) -> list[tuple]:
+def _distance(a: PointSet, b: PointSet, t: float):
+    """mag_distance(a, b, t), or the CholeskyFailure its solve raised."""
+    try:
+        return mag_distance(a, b, t)
+    except CholeskyFailure as exc:
+        return exc
+
+
+def _rows(keys, pick, *reports) -> list[tuple]:
     """Rows (method, param, value, error) for the (method, param) `keys`.
 
-    The values are `pick(*reports)`, one `mag_distance(a, b, t)` report per
-    (a, b) in `pairs`. If a solve fails, every key gets a NaN row whose error
-    reads `Type: message`, with commas turned into ';' so the CSV keeps its
-    seven fields.
+    The values are `pick(*reports)`. If a report is a failed solve, every key
+    gets a NaN row whose error reads `Type: message` of the first failure,
+    with commas turned into ';' so the CSV keeps its seven fields.
     """
-    try:
-        reports = [mag_distance(a, b, t) for a, b in pairs]
-    except CholeskyFailure as exc:
-        error = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
-        return [(method, param, math.nan, error) for method, param in keys]
+    for rep in reports:
+        if isinstance(rep, CholeskyFailure):
+            error = f"{type(rep).__name__}: {rep}".replace(",", ";").replace("\n", " ")
+            return [(method, param, math.nan, error) for method, param in keys]
     return [(method, param, value, "")
             for (method, param), value in zip(keys, pick(*reports))]
 
@@ -163,8 +169,8 @@ def _tsweep_trial(cfg: StudyConfig, rng: RngState, dim: int, shift: float) -> li
     rows = []
     for t in cfg.scales:
         param = f"mu={fmt17(shift)};t={fmt17(t)}"
-        rows += _solve_rows([("magdist", param), ("magdist_norm", param)],
-                            lambda rep: (rep.distance, rep.normalized), t, (x, y))
+        rows += _rows([("magdist", param), ("magdist_norm", param)],
+                      lambda rep: (rep.distance, rep.normalized), _distance(x, y, t))
     return rows
 
 
@@ -182,7 +188,7 @@ def _highdim_trial(cfg: StudyConfig, rng: RngState, dim: int, shift: float) -> l
     rows = []
     for label, sigma in (("mmd2[sigma=1]", 1.0),
                          ("mmd2[sigma=1/sqrt(D)]", 1.0 / math.sqrt(dim))):
-        val = mmd_squared(x, y, KernelSpec("gaussian", sigma))
+        val = mmd_squared(x, y, sigma)
         rows.append((label, f"sigma={fmt17(sigma)}", val, ""))
     sw = sliced_wasserstein(x, y, SW_PROJECTIONS, rng=rng)
     rows.append(("sliced_wasserstein", f"n_proj={SW_PROJECTIONS}", sw, ""))
@@ -193,8 +199,8 @@ def _highdim_trial(cfg: StudyConfig, rng: RngState, dim: int, shift: float) -> l
         else:
             scale_plan.append(("magdist_norm[t=1/sqrt(D)]", recommend_scale(dim)))
     for label, t in scale_plan:
-        rows += _solve_rows([(label, f"t={fmt17(t)}")],
-                            lambda rep: [rep.normalized], t, (x, y))
+        rows += _rows([(label, f"t={fmt17(t)}")], lambda rep: [rep.normalized],
+                      _distance(x, y, t))
     return rows
 
 
@@ -227,11 +233,15 @@ def _outlier2d_trial(cfg: StudyConfig, rng: RngState, dim: int, _) -> list:
     noise = sample_gaussian(rng, OUTLIER2D_NOISE_POINTS, dim, shift,
                             OUTLIER2D_NOISE_STD)
     y_star = PointSet(np.vstack([y.coords, noise.coords]))
+    # each pair at all of its scales in a row, so each builds one geometry; a
+    # scale whose clean solve failed skips the noisy one and keeps its error
+    clean = [_distance(base, y, t) for t in cfg.scales]
+    noisy = [c if isinstance(c, CholeskyFailure) else _distance(base, y_star, t)
+             for c, t in zip(clean, cfg.scales)]
     rows = []
-    for t in cfg.scales:
-        rows += _solve_rows(_pair_keys(f"magdist[t={format(t, 'g')}]"),
-                            lambda c, n: _clean_noisy_change(c.distance, n.distance),
-                            t, (base, y), (base, y_star))
+    for t, *reports in zip(cfg.scales, clean, noisy):
+        rows += _rows(_pair_keys(f"magdist[t={format(t, 'g')}]"),
+                      lambda c, n: _clean_noisy_change(c.distance, n.distance), *reports)
     sw_clean = sliced_wasserstein(base, y, SW_PROJECTIONS, rng=rng)
     sw_noisy = sliced_wasserstein(base, y_star, SW_PROJECTIONS, rng=rng)
     for (method, param), val in zip(_pair_keys("sliced_wasserstein"),
@@ -276,9 +286,8 @@ def _huber_trial(cfg: StudyConfig, rng: RngState, dim: int, eps: float) -> list:
         for method, t, field in (
                 (f"magdist[t={format(t_std, 'g')}]", t_std, "distance"),
                 (f"magdist_norm[t={format(t_norm, 'g')}]", t_norm, "normalized")):
-            rows += _solve_rows([(method, param)],
-                                lambda rep: [getattr(rep, field)], t,
-                                (clean, contaminated))
+            rows += _rows([(method, param)], lambda rep: [getattr(rep, field)],
+                          _distance(clean, contaminated, t))
     return rows
 
 
@@ -347,28 +356,6 @@ def config_from_dict(study: str, data: dict, **overrides) -> StudyConfig:
 
 def default_config(study: str) -> StudyConfig:
     return config_from_dict(study, {})
-
-
-def tsweep_config(**overrides) -> StudyConfig:
-    """Distance as a function of t for a grid of per-coordinate mean shifts."""
-    return config_from_dict("tsweep", {}, **overrides)
-
-
-def highdim_config(**overrides) -> StudyConfig:
-    """Baselines vs magnitude distance as the ambient dimension grows."""
-    return config_from_dict("highdim", {}, **overrides)
-
-
-def outlier2d_config(**overrides) -> StudyConfig:
-    """Sensitivity of distances to a small dispersed outlier cloud in 2D."""
-    return config_from_dict("outlier2d", {}, **overrides)
-
-
-def huber_config(**overrides) -> StudyConfig:
-    """Contaminated two-sample test: replace ceil(eps*n) points by radius-r
-    outliers and sweep r. scales[0] is the standard-distance scale,
-    scales[1] the normalized-distance scale."""
-    return config_from_dict("huber", {}, **overrides)
 
 
 def run_study(study: str, config: StudyConfig | None = None) -> list[StudyRow]:

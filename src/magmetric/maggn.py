@@ -1,7 +1,7 @@
 """Toy push-forward generative trainer on the multi-scale distance loss.
 
 A small tanh MLP maps reference normals to data space; training minimizes the
-sum of normalized magnitude distances over the scales a ScaleSchedule has
+mean normalized magnitude distance over the scales a ScaleSchedule has
 activated so far (coarse scales first, finer ones joining at their epochs,
 earlier ones never dropped). Differentiation is written out by hand: the
 distance gradient in the generated points chains into plain MLP backprop.
@@ -56,7 +56,6 @@ class TrainConfig:
     batch_real: int = 64
     batch_gen: int = 64
     learning_rate: float = 1e-3
-    normalized_loss: bool = True
     seed: int = 42
 
     def __post_init__(self):
@@ -88,6 +87,17 @@ class TrainLog:
                          f"{fmt17(r.grad_norm)},{fmt17(r.seconds)}\n")
 
 
+def _check_generator(dims, params=()) -> None:
+    """What every Generator meets: an input and an output size, every layer
+    dim >= 1, and finite parameters."""
+    if len(dims) < 2:
+        raise ValueError("layer_dims needs at least input and output sizes")
+    if any(d < 1 for d in dims):
+        raise ValueError("layer dims must be positive")
+    if not all(np.isfinite(p).all() for p in params):
+        raise ValueError("generator parameters must be finite")
+
+
 def init_generator(rng: RngState, layer_dims) -> Generator:
     """Glorot-uniform weights, zero biases.
 
@@ -96,10 +106,7 @@ def init_generator(rng: RngState, layer_dims) -> Generator:
     no draws. Layer order front to back.
     """
     dims = tuple(int(d) for d in layer_dims)
-    if len(dims) < 2:
-        raise ValueError("layer_dims needs at least input and output sizes")
-    if any(d < 1 for d in dims):
-        raise ValueError("layer dims must be positive")
+    _check_generator(dims)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims, dims[1:]):
         lim = math.sqrt(6.0 / (fan_in + fan_out))
@@ -151,8 +158,8 @@ def train(gen: Generator, data: PointSet, config: TrainConfig):
     """Adam on the multi-scale normalized distance; one update per epoch.
 
     Per epoch: draw a reference batch, push it forward, take a real
-    minibatch without replacement, accumulate per-active-scale normalized
-    distance and its gradient in the generated points, backpropagate, and
+    minibatch without replacement, average the normalized distance and its
+    gradient in the generated points over the active scales, backpropagate, and
     step. Coincident generated points are retried once with a fresh
     reference batch; a second failure logs the epoch as an error row and
     skips the update. Returns (gen, TrainLog); gen is updated in place.
@@ -196,9 +203,8 @@ def train(gen: Generator, data: PointSet, config: TrainConfig):
                                                     normalized=True)
                     loss += val
                     grad_out += grad
-                if config.normalized_loss:
-                    loss /= len(active)
-                    grad_out /= len(active)
+                loss /= len(active)
+                grad_out /= len(active)
                 outcome = (loss, grad_out, acts)
                 break
             except CoincidentPoints as exc:
@@ -262,7 +268,7 @@ def load_checkpoint(path) -> Generator:
     if not _is_list_of(dims, int) or not isinstance(layers, list):
         raise ValueError("checkpoint needs an integer list 'layer_dims' and a list 'layers'")
     dims = tuple(dims)
-    if len(dims) < 2 or len(layers) != len(dims) - 1:
+    if len(layers) != len(dims) - 1:
         raise ValueError("checkpoint layer count does not match layer_dims")
     weights, biases = [], []
     for (fan_in, fan_out), layer in zip(zip(dims, dims[1:]), layers):
@@ -275,4 +281,5 @@ def load_checkpoint(path) -> Generator:
             raise ValueError("checkpoint parameter sizes do not match layer_dims")
         weights.append(w.reshape(fan_in, fan_out))
         biases.append(b)
+    _check_generator(dims, weights + biases)
     return Generator(dims, weights, biases)

@@ -75,15 +75,6 @@ class ScalePoint:
     error: str = ""
 
 
-@dataclass(frozen=True)
-class NeumannEstimate:
-    """First-order large-t magnitude estimate with a reliability flag."""
-
-    estimate: float
-    reliable: bool       # spectral radius proxy < 1
-    radius_proxy: float  # max_i sum_{j != i} zeta_ij
-
-
 def _require_scale(t, name: str = "scale t") -> None:
     """Raise ValueError unless t is finite and positive (NaN fails too)."""
     if not (math.isfinite(t) and t > 0):
@@ -146,17 +137,6 @@ def _magnitude_at(geometry, t: float, jitter: bool = False) -> MagnitudeResult:
     return MagnitudeResult(float(w.sum()), wv, residual, hint)
 
 
-def _neumann_at(geometry, t: float) -> NeumannEstimate:
-    _require_scale(t)
-    reps, _, dists = geometry
-    n = len(reps)
-    if n <= 1:
-        return NeumannEstimate(float(n), True, 0.0)
-    off = np.exp(-t * dists) - np.eye(n)
-    proxy = float(off.sum(axis=1).max())
-    return NeumannEstimate(float(n) - float(off.sum()), proxy < 1.0, proxy)
-
-
 def weighting(X: PointSet, t: float, jitter: bool = False) -> WeightingVector:
     """Magnitude weighting of X at scale t.
 
@@ -188,15 +168,6 @@ def magnitude_function(X: PointSet, ts) -> list[ScalePoint]:
         except (CholeskyFailure, ValueError) as exc:
             out.append(ScalePoint(float(t), float("nan"), None, error=str(exc)))
     return out
-
-
-def magnitude_neumann(X: PointSet, t: float) -> NeumannEstimate:
-    """First-order series estimate |X'| - sum_{i != j} zeta_ij.
-
-    Cheap (no solve). `reliable` is False when the spectral radius proxy
-    max_i sum_{j != i} zeta_ij reaches 1, where the series may diverge.
-    """
-    return _neumann_at(_geometry(X), t)
 
 
 def _gradient_rows(coords: np.ndarray, dists: np.ndarray, zeta: np.ndarray,

@@ -13,9 +13,8 @@ from magmetric.distance import (ScaleSchedule, bound_check, check_triangle,
                                 cross_polytope_counterexample, limit_probe,
                                 mag_distance, mag_distance_gradient,
                                 _value_and_gradient)
-from magmetric.experiments import (contamination_count, highdim_config,
-                                   huber_config, run_study, tsweep_config,
-                                   write_rows)
+from magmetric.experiments import (config_from_dict, contamination_count,
+                                   default_config, run_study, write_rows)
 from magmetric.magnitude import magnitude, magnitude_gradient
 from magmetric.maggn import (Generator, TrainConfig, forward, init_generator,
                              sample, train, _backward, _forward)
@@ -145,7 +144,7 @@ def test_07_boundedness():
         x = sample_gaussian(rng.derive(0), 6, 1)
         y = sample_gaussian(rng.derive(1), 6, 1, mean=1.0)
         for t in (0.1, 1.0, 10.0):
-            holds_1d = holds_1d and bound_check(x, y, t).holds
+            holds_1d = holds_1d and bound_check(mag_distance(x, y, t)).holds
     applicable_found = 0
     holds_hd = True
     for seed in range(10):
@@ -154,7 +153,7 @@ def test_07_boundedness():
         y = sample_gaussian(rng.derive(1), 8, 3, mean=3.0, std=2.0)
         t = 4.0
         for _ in range(6):  # raise t until every weighting is nonnegative
-            chk = bound_check(x, y, t)
+            chk = bound_check(mag_distance(x, y, t))
             if chk.applicable:
                 applicable_found += 1
                 holds_hd = holds_hd and chk.holds
@@ -256,7 +255,7 @@ def test_08_gradients():
 
 @pytest.fixture(scope="module")
 def highdim_rows():
-    return run_study("highdim", highdim_config())
+    return run_study("highdim", default_config("highdim"))
 
 
 def _cell_means(rows, method):
@@ -306,8 +305,9 @@ def huber_rows():
     # the first five radii are unchanged by appending them: the magnitude
     # rows draw nothing, and the sliced-W projections are drawn radius by
     # radius in sweep order.
-    return run_study("huber", huber_config(
-        epsilons=(0.05,), radii=(10.0, 50.0, 100.0, 500.0, 1000.0, 1e4, 1e5)))
+    return run_study("huber", config_from_dict(
+        "huber", {}, epsilons=(0.05,),
+        radii=(10.0, 50.0, 100.0, 500.0, 1000.0, 1e4, 1e5)))
 
 
 def test_10_contamination_study(huber_rows):
@@ -335,7 +335,7 @@ def test_10_contamination_study(huber_rows):
     m_ratio = float(np.mean(m[1000.0]) / np.mean(m[10.0]))
     plateau = m.get(1e5, [])
     plateau_err = max((abs(v - k) / k for v in plateau), default=math.inf)
-    prong_m = len(plateau) == huber_config().trials and plateau_err <= 0.01
+    prong_m = len(plateau) == default_config("huber").trials and plateau_err <= 0.01
     w_growth = w[1e5] / w[1e4]
     prong_g = w_growth >= 9.0
 
@@ -358,7 +358,7 @@ def test_10_contamination_study(huber_rows):
 
 
 def test_11_shift_sweep_monotone():
-    rows = run_study("tsweep", tsweep_config())
+    rows = run_study("tsweep", default_config("tsweep"))
     cells: dict = {}
     for r in rows:
         if r.method == "magdist_norm" and not r.error:
@@ -409,7 +409,7 @@ def test_12_generator_training():
 # --------------------------------------------------------------- criterion 13
 
 def test_13_determinism(tmp_path, monkeypatch):
-    cfg = highdim_config(dims=(2, 10), trials=3, n_per_set=40)
+    cfg = config_from_dict("highdim", {}, dims=(2, 10), trials=3, n_per_set=40)
     paths = []
     for name, threads in (("serial1.csv", "1"), ("serial2.csv", "1"),
                           ("parallel.csv", "4")):

@@ -9,52 +9,45 @@ import pytest
 from scipy.stats import wasserstein_distance
 
 import magmetric
-from magmetric.baselines import (KernelSpec, _w1_rows, mmd_squared,
+from magmetric.baselines import (_gaussian_gram, _w1_rows, mmd_squared,
                                  sliced_wasserstein, wasserstein_1d)
 from magmetric.core import PointSet, RngState, sample_gaussian
 
 
-def test_kernel_spec_validation():
-    with pytest.raises(ValueError):
-        KernelSpec("triangle", 1.0)
-    with pytest.raises(ValueError):
-        KernelSpec("gaussian", 0.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            KernelSpec("gaussian", bad)
+def test_mmd_bandwidth_validation():
+    x = PointSet([[0.0], [1.0]])
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="bandwidth sigma must be finite"):
+            mmd_squared(x, x, bad)
 
 
 def test_kernel_gram_values():
     a = np.array([[0.0, 0.0]])
     b = np.array([[3.0, 4.0]])
-    exp_k = KernelSpec("exponential", 2.0).gram(a, b)
-    assert exp_k[0, 0] == pytest.approx(math.exp(-2.0 * 5.0), rel=1e-15)
-    gauss = KernelSpec("gaussian", 2.0).gram(a, b)
+    gauss = _gaussian_gram(a, b, 2.0)
     assert gauss[0, 0] == pytest.approx(math.exp(-25.0 / 8.0), rel=1e-15)
+    assert _gaussian_gram(a, a, 0.5)[0, 0] == 1.0
 
 
 def test_mmd_zero_on_identical():
     x = sample_gaussian(RngState(2), 30, 3)
-    k = KernelSpec("gaussian", 1.0)
-    assert mmd_squared(x, x, k) == pytest.approx(0.0, abs=1e-12)
+    assert mmd_squared(x, x, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mmd_symmetric_and_positive():
     rng = RngState(6)
     x = sample_gaussian(rng.derive(0), 25, 2)
     y = sample_gaussian(rng.derive(1), 20, 2, mean=1.5)
-    k = KernelSpec("gaussian", 1.0)
-    assert mmd_squared(x, y, k) == pytest.approx(mmd_squared(y, x, k), abs=1e-15)
-    assert mmd_squared(x, y, k) > 0
+    assert mmd_squared(x, y, 1.0) == pytest.approx(mmd_squared(y, x, 1.0), abs=1e-15)
+    assert mmd_squared(x, y, 1.0) > 0
 
 
 def test_mmd_singletons_closed_form():
-    # V-statistic on single points: 2 - 2 k(x, y)
+    # V-statistic on single points: 2 - 2 k(x, y), k(x, y) = exp(-d^2 / (2 sigma^2))
     x = PointSet([[0.0]])
     y = PointSet([[2.0]])
-    k = KernelSpec("exponential", 0.7)
-    want = 2.0 - 2.0 * math.exp(-0.7 * 2.0)
-    assert mmd_squared(x, y, k) == pytest.approx(want, rel=1e-14)
+    want = 2.0 - 2.0 * math.exp(-4.0 / (2.0 * 0.7**2))
+    assert mmd_squared(x, y, 0.7) == pytest.approx(want, rel=1e-14)
 
 
 def test_wasserstein_1d_known_values():

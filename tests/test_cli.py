@@ -10,7 +10,7 @@ import magmetric.cli
 from magmetric.cli import main
 from magmetric.core import (PointSet, RngState, fmt17, read_point_csv, sample_gaussian,
                             write_point_csv)
-from magmetric.magnitude import magnitude, magnitude_neumann
+from magmetric.magnitude import magnitude
 
 
 @pytest.fixture()
@@ -41,16 +41,16 @@ def test_magnitude_text_output(csvs, capsys):
 def test_magnitude_json_envelope(csvs, capsys):
     x, _ = csvs
     code, out, _ = run_cli(capsys, "magnitude", "--input", x,
-                           "--t", "1.0", "--t", "2.0", "--neumann", "--json")
+                           "--t", "1.0", "--t", "2.0", "--json")
     assert code == 0
     blob = json.loads(out)
     assert set(blob) == {"command", "seed", "params", "results", "blas_threads"}
     assert blob["blas_threads"] == {"numpy": 1, "scipy": 1}
     assert blob["command"] == "magnitude"
     assert blob["seed"] == 42
-    assert blob["params"]["t"] == [1.0, 2.0]
+    assert blob["params"] == {"input": x, "t": [1.0, 2.0]}
     assert len(blob["results"]) == 2
-    assert "neumann_reliable" in blob["results"][0]
+    assert set(blob["results"][0]) == {"t", "magnitude", "residual", "nonneg_weighting"}
 
 
 def test_distance_text_and_bound(csvs, capsys):
@@ -170,13 +170,12 @@ def test_magnitude_builds_one_geometry_for_all_scales(csvs, capsys, monkeypatch)
 
     monkeypatch.setattr(module, "pairwise_distances", counting)
     code, out, _ = run_cli(capsys, "magnitude", "--input", x, "--t", "0.5",
-                           "--t", "1.0", "--t", "2.0", "--neumann")
+                           "--t", "1.0", "--t", "2.0")
     assert code == 0
     assert calls == [20]
     points = read_point_csv(x)
     for line, t in zip(out.splitlines()[1:], (0.5, 1.0, 2.0)):
         assert f" magnitude={fmt17(magnitude(points, t).magnitude)} " in line
-        assert f" neumann={fmt17(magnitude_neumann(points, t).estimate)} " in line
 
 
 @pytest.mark.parametrize("argv,field", [
@@ -241,11 +240,38 @@ def test_output_directory_as_out_exits_2_before_running(tmp_path, capsys,
     assert list(target.iterdir()) == []
 
 
-def test_unknown_flag_exits_2(csvs):
-    x, _ = csvs
+@pytest.mark.parametrize("argv", [
+    ["magnitude", "--input", "{x}", "--t", "1.0", "--badflag"],
+    ["magnitude", "--input", "{x}", "--t", "1.0", "--neumann"],
+    ["maggn", "train", "--data", "{x}", "--schedule", "0.5@1", "--out", "{run}",
+     "--raw-loss"],
+], ids=["badflag", "neumann", "raw-loss"])
+def test_unknown_flag_exits_2(csvs, tmp_path, argv):
     with pytest.raises(SystemExit) as err:
-        main(["magnitude", "--input", x, "--badflag"])
+        main([a.format(x=csvs[0], run=tmp_path / "run") for a in argv])
     assert err.value.code == 2
+    assert not (tmp_path / "run").exists()
+
+
+def test_bound_check_makes_one_solve_per_scale(tmp_path, capsys, monkeypatch):
+    # --bound-check reads the report the distance already computed
+    x, y = str(tmp_path / "x.csv"), str(tmp_path / "y.csv")
+    write_point_csv(x, sample_gaussian(RngState(5), 30, 2))
+    write_point_csv(y, sample_gaussian(RngState(6), 25, 2, mean=1.0))
+    module = importlib.import_module("magmetric.distance")
+    sizes = []
+    real = module._solve_ones
+
+    def counting(zeta, jitter):
+        sizes.append(zeta.shape[0])
+        return real(zeta, jitter)
+
+    monkeypatch.setattr(module, "_solve_ones", counting)
+    code, out, _ = run_cli(capsys, "distance", "--x", x, "--y", y, "--t", "0.5",
+                           "--bound-check")
+    assert code == 0
+    assert sizes == [55, 30, 25]
+    assert "applicable=" in out and "holds=" in out
 
 
 def test_experiment_subcommand_deterministic(tmp_path, capsys):
@@ -360,7 +386,7 @@ def _report_cases(tmp_path, csvs):
     write_point_csv(target, sample_gaussian(RngState(9), 32, 2, mean=2.0, std=0.3))
     run = str(tmp_path / "run")
     return [  # argv, text-only keys, JSON-only keys
-        (["magnitude", "--input", x, "--t", "0.5", "--t", "2.0", "--neumann"],
+        (["magnitude", "--input", x, "--t", "0.5", "--t", "2.0"],
          set(), set()),
         (["distance", "--x", x, "--y", y, "--t", "0.7", "--normalized",
           "--bound-check"], set(), set()),
@@ -399,6 +425,11 @@ def test_text_and_json_reports_agree(csvs, capsys, tmp_path):
     {"format_version": 1, "layer_dims": [2, 2]},
     {"format_version": 1, "layer_dims": [2, 2], "layers": {"weights": [0.0] * 4}},
     {"format_version": 1, "layer_dims": [2, 2], "layers": [{"weights": [0.0] * 4}]},
+    {"format_version": 1, "layer_dims": [2, 0, 2],
+     "layers": [{"weights": [], "biases": []},
+                {"weights": [], "biases": [1.5, -2.0]}]},
+    {"format_version": 1, "layer_dims": [2, 2],
+     "layers": [{"weights": [0.0, 0.0, 0.0, float("inf")], "biases": [0.0, 0.0]}]},
 ])
 def test_malformed_checkpoint_exits_2(tmp_path, capsys, payload):
     (tmp_path / "checkpoint.json").write_text(json.dumps(payload))

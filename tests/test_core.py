@@ -1,10 +1,11 @@
-"""Core primitives: RNG, point sets, dedupe, CSV io."""
+"""Core primitives: RNG, point sets, dedupe, CSV io; the package namespace."""
 import math
 import os
 
 import numpy as np
 import pytest
 
+import magmetric
 from magmetric.core import (DimensionMismatch, PointCsvError, PointSet,
                             RngState, dedupe, pairwise_distances,
                             read_point_csv, sample_gaussian,
@@ -213,3 +214,9 @@ def test_point_csv_error_line_numbers(tmp_path):
     with pytest.raises(PointCsvError) as err:
         read_point_csv(path)
     assert err.value.line == 0  # no points at all
+
+
+def test_public_names_resolve():
+    # every exported name exists on the package, and none is listed twice
+    assert [name for name in magmetric.__all__ if not hasattr(magmetric, name)] == []
+    assert len(set(magmetric.__all__)) == len(magmetric.__all__)

@@ -251,16 +251,16 @@ def test_bound_check_1d_and_separated():
     x = PointSet([[0.0], [1.0], [2.0]])
     y = PointSet([[0.5], [3.0]])
     for t in (0.1, 1.0, 10.0):
-        chk = bound_check(x, y, t)
+        chk = bound_check(mag_distance(x, y, t))
         assert chk.holds
     # far separated points in the plane: all weightings nonnegative at t=5
     x2 = PointSet([[0.0, 0.0], [10.0, 0.0]])
     y2 = PointSet([[0.0, 10.0], [10.0, 10.0]])
-    chk = bound_check(x2, y2, 5.0)
+    chk = bound_check(mag_distance(x2, y2, 5.0))
     assert chk.applicable and chk.holds
     # tiny t in higher dim usually has negative weights -> not applicable
     x3, y3 = _pair(2, n=20, dim=5)
-    chk3 = bound_check(x3, y3, 0.01)
+    chk3 = bound_check(mag_distance(x3, y3, 0.01))
     assert not chk3.applicable
 
 

@@ -13,11 +13,9 @@ from magmetric import experiments
 from magmetric.cli import main
 from magmetric.experiments import (CSV_HEADER, StudyConfig, config_as_dict,
                                    config_from_dict, contamination_count,
-                                   default_config, fmt17, huber_config,
-                                   highdim_config, outlier2d_config,
-                                   recommend_scale, run_study, study_names,
-                                   summarize, summary_path, tsweep_config,
-                                   write_rows, write_summary)
+                                   default_config, fmt17, recommend_scale,
+                                   run_study, study_names, summarize,
+                                   summary_path, write_rows, write_summary)
 from magmetric.magnitude import CholeskyFailure
 
 SMALL = dict(trials=2, n_per_set=30)
@@ -59,15 +57,15 @@ def test_contamination_count_exact_boundaries():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        huber_config(radii=(10.0, 10.0))  # must strictly increase
+        config_from_dict("huber", {}, radii=(10.0, 10.0))  # must strictly increase
     with pytest.raises(ValueError):
-        highdim_config(shift_mode="sideways")
+        config_from_dict("highdim", {}, shift_mode="sideways")
     with pytest.raises(ValueError):
-        highdim_config(adaptive_scales=("inv_d", "mystery"))
+        config_from_dict("highdim", {}, adaptive_scales=("inv_d", "mystery"))
     with pytest.raises(ValueError):
-        tsweep_config(trials=0)
+        config_from_dict("tsweep", {}, trials=0)
     with pytest.raises(ValueError):
-        outlier2d_config(dims=(3,))  # planar study
+        config_from_dict("outlier2d", {}, dims=(3,))  # planar study
     for bad in (math.nan, math.inf, 0.0):
         with pytest.raises(ValueError, match="scales"):
             StudyConfig(scales=(0.1, bad))
@@ -86,11 +84,11 @@ def test_study_requirements_checked_when_built():
             config_from_dict(study, data)
     # run_study applies the same check to a config built for another study
     with pytest.raises(ValueError, match="highdim expects exactly one shift"):
-        run_study("highdim", tsweep_config())
+        run_study("highdim", default_config("tsweep"))
 
 
 def test_config_round_trip_and_unknown_fields():
-    cfg = huber_config(trials=3)
+    cfg = config_from_dict("huber", {}, trials=3)
     data = config_as_dict(cfg)
     back = config_from_dict("huber", data)
     assert back == cfg
@@ -120,7 +118,7 @@ def test_config_accepts_numpy_numbers():
 
 
 def test_rows_sorted_canonically():
-    cfg = highdim_config(dims=(10, 2), **SMALL)
+    cfg = config_from_dict("highdim", {}, dims=(10, 2), **SMALL)
     rows = run_study("highdim", cfg)
     keys = [(r.study, r.method, r.dim, r.trial, r.param) for r in rows]
     assert keys == sorted(keys)
@@ -128,7 +126,8 @@ def test_rows_sorted_canonically():
 
 
 def test_rerun_rows_identical():
-    cfg = tsweep_config(dims=(5,), shifts=(0.0, 1.0), scales=(0.2,), **SMALL)
+    cfg = config_from_dict("tsweep", {}, dims=(5,), shifts=(0.0, 1.0), scales=(0.2,),
+                           **SMALL)
     a = run_study("tsweep", cfg)
     b = run_study("tsweep", cfg)
     assert a == b
@@ -149,15 +148,15 @@ def test_threaded_run_matches_serial(tmp_path, monkeypatch, study):
 
 def test_bad_thread_env_falls_back(monkeypatch):
     monkeypatch.setenv("MAGMETRIC_THREADS", "many")
-    cfg = tsweep_config(dims=(3,), shifts=(1.0,), scales=(0.2,), trials=1,
-                        n_per_set=20)
+    cfg = config_from_dict("tsweep", {}, dims=(3,), shifts=(1.0,), scales=(0.2,),
+                           trials=1, n_per_set=20)
     rows = run_study("tsweep", cfg)
     assert rows  # still runs, serially
 
 
 def test_csv_format(tmp_path):
     path = str(tmp_path / "out.csv")
-    cfg = outlier2d_config(trials=1, n_per_set=40, output_path=path)
+    cfg = config_from_dict("outlier2d", {}, trials=1, n_per_set=40, output_path=path)
     rows = run_study("outlier2d", cfg)
     write_rows(path, rows)
     raw = open(path, "rb").read()
@@ -173,7 +172,7 @@ def test_csv_format(tmp_path):
 
 
 def test_outlier2d_relative_change_rows():
-    cfg = outlier2d_config(trials=1, n_per_set=40)
+    cfg = config_from_dict("outlier2d", {}, trials=1, n_per_set=40)
     rows = run_study("outlier2d", cfg)
     by_pair = {}
     for r in rows:
@@ -186,9 +185,24 @@ def test_outlier2d_relative_change_rows():
             assert val == pytest.approx(abs(noisy - clean) / clean, rel=1e-12)
 
 
+def test_outlier2d_builds_one_geometry_per_pair(monkeypatch):
+    # the clean pair runs at all of its scales, then the noisy pair, so the
+    # stored union geometry is built once for each (|B u Y| = 80, |B u Y*| = 90)
+    calls = []
+    real = magmetric.distance.cdist
+
+    def counting(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(magmetric.distance, "cdist", counting)
+    run_study("outlier2d", config_from_dict("outlier2d", {}, trials=1, n_per_set=40))
+    assert calls == [80, 90]
+
+
 def test_summarize_shape_and_stats(tmp_path):
-    cfg = huber_config(trials=3, n_per_set=40, epsilons=(0.05,),
-                       radii=(10.0, 100.0))
+    cfg = config_from_dict("huber", {}, trials=3, n_per_set=40, epsilons=(0.05,),
+                           radii=(10.0, 100.0))
     rows = run_study("huber", cfg)
     summary = summarize(rows)
     assert set(summary) == {"huber"}
@@ -220,7 +234,7 @@ def test_run_study_rejects_unknown():
     with pytest.raises(ValueError, match="unknown study"):
         run_study("mystery", None)
     with pytest.raises(ValueError, match="unknown study"):
-        run_study("mystery", tsweep_config())
+        run_study("mystery", default_config("tsweep"))
 
 
 @pytest.mark.parametrize("study", sorted(STUDY_CASES))

@@ -137,8 +137,7 @@ def test_train_loss_matches_multiscale_loss():
     data = _data(n=32)
     gen = init_generator(RngState(4), (2, 6, 2))
     cfg = TrainConfig(schedule=small_schedule(), epochs=1, batch_real=32,
-                      batch_gen=16, learning_rate=0.0, seed=9,
-                      normalized_loss=True)
+                      batch_gen=16, learning_rate=0.0, seed=9)
     trained, log = train(gen, data, cfg)
     z = RngState(9).derive(1)  # training stream
     picks = z.permutation(len(data))[:32]
@@ -228,6 +227,24 @@ def test_checkpoint_rejects_bad_blobs(tmp_path):
     blob["layers"][0]["weights"] = [1.0, 2.0]  # wrong length
     json.dump(blob, open(path, "w"))
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_what_init_rejects(tmp_path):
+    path = str(tmp_path / "bad.json")
+    with pytest.raises(ValueError, match="layer dims must be positive"):
+        init_generator(RngState(1), (2, 0, 2))
+    json.dump({"format_version": 1, "layer_dims": [2, 0, 2],
+               "layers": [{"weights": [], "biases": []},
+                          {"weights": [], "biases": [1.5, -2.0]}]}, open(path, "w"))
+    with pytest.raises(ValueError, match="layer dims must be positive"):
+        load_checkpoint(path)
+    gen = init_generator(RngState(1), (2, 3, 2))
+    save_checkpoint(gen, path)
+    blob = json.load(open(path))
+    blob["layers"][1]["biases"][0] = math.inf  # json writes Infinity
+    json.dump(blob, open(path, "w"))
+    with pytest.raises(ValueError, match="parameters must be finite"):
         load_checkpoint(path)
 
 

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from magmetric.core import PointSet, RngState, sample_gaussian
-from magmetric.magnitude import (CholeskyFailure, CoincidentPoints, NeumannEstimate,
-                                 _solve_ones, magnitude, magnitude_function,
-                                 magnitude_gradient, magnitude_neumann,
+from magmetric.magnitude import (CholeskyFailure, CoincidentPoints, _solve_ones,
+                                 magnitude, magnitude_function, magnitude_gradient,
                                  weighting)
 
 # the module itself: the package's `magnitude` attribute is the function
@@ -40,7 +39,6 @@ def test_empty_and_singleton():
     assert wv.points is empty and wv.weights.shape == (0,)
     assert wv.multiplicity.shape == (0,) and wv.multiplicity.dtype == np.intp
     assert (wv.scale, wv.residual, wv.condition_hint, wv.jitter) == (0.7, 0.0, 1.0, 0.0)
-    assert magnitude_neumann(empty, 0.7) == NeumannEstimate(0.0, True, 0.0)
     assert magnitude_gradient(empty, 0.7).shape == (0, 3)
     with pytest.raises(ValueError, match="nonempty"):
         weighting(empty, 0.7)
@@ -50,9 +48,8 @@ def test_empty_and_singleton():
     assert (res.magnitude, res.residual, res.condition_hint) == (1.0, 0.0, 1.0)
     assert res.weighting.multiplicity.tolist() == [3]
     assert res.weighting.points.coords.tolist() == [[3.0, -4.0]]
-    assert magnitude_neumann(single, 0.7) == NeumannEstimate(1.0, True, 0.0)
     assert np.array_equal(magnitude_gradient(single, 0.7), np.zeros((1, 2)))
-    for fn in (magnitude, magnitude_neumann, magnitude_gradient):
+    for fn in (magnitude, magnitude_gradient):
         for pts in (empty, single):
             with pytest.raises(ValueError, match="finite"):
                 fn(pts, -1.0)
@@ -66,7 +63,7 @@ def test_scale_must_be_positive():
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_scale_must_be_finite(t):
     pts = PointSet([[0.0], [1.0]])
-    for fn in (magnitude, weighting, magnitude_neumann, magnitude_gradient):
+    for fn in (magnitude, weighting, magnitude_gradient):
         with pytest.raises(ValueError, match="finite"):
             fn(pts, t)
 
@@ -144,19 +141,6 @@ def test_magnitude_function_builds_one_geometry(pdist_calls):
             want.weighting.points.coords.tobytes()
         assert np.array_equal(got.weighting.multiplicity, want.weighting.multiplicity)
     assert len(pdist_calls) == 4
-
-
-def test_neumann_two_point_matches_series():
-    # n - sum of off-diagonal similarities; for two points: 2 - 2e^{-td}
-    pts = PointSet([[0.0], [1.0]])
-    est = magnitude_neumann(pts, 5.0)
-    assert est.estimate == pytest.approx(2.0 - 2.0 * math.exp(-5.0), rel=1e-15)
-    exact = magnitude(pts, 5.0).magnitude
-    assert abs(est.estimate - exact) < 1e-4
-    assert est.reliable  # off-diagonal row sums far below 1 at t=5
-    crowded = magnitude_neumann(PointSet([[0.0], [0.001], [0.002]]), 1.0)
-    assert crowded.radius_proxy >= 1.0
-    assert not crowded.reliable
 
 
 def test_gradient_matches_finite_differences():
