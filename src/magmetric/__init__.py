@@ -16,15 +16,15 @@ from .magnitude import (CholeskyFailure, CoincidentPoints, MagnitudeResult,
 from .distance import (BoundCheck, CrossPolytopeResult, DistanceReport,
                        LimitProbe, ScaleSchedule, bound_check, check_triangle,
                        cross_polytope_counterexample, limit_probe,
-                       mag_distance, mag_distance_gradient, multiscale_loss)
+                       mag_distance, mag_distance_gradient)
 from .baselines import mmd_squared, sliced_wasserstein, wasserstein_1d
 from .experiments import (StudyConfig, StudyRow, config_as_dict,
                           config_from_dict, default_config, recommend_scale,
                           run_study, study_names, summarize, summary_path,
                           write_rows, write_summary)
 from .maggn import (Generator, TrainConfig, TrainLog, TrainLogRow,
-                    forward, init_generator, load_checkpoint, sample,
-                    save_checkpoint, train)
+                    forward, init_generator, load_checkpoint, multiscale_loss,
+                    sample, save_checkpoint, train)
 
 __version__ = "0.1.0"
 
@@ -40,9 +40,8 @@ __all__ = [
     "weighting",
     # distance
     "BoundCheck", "CrossPolytopeResult", "DistanceReport", "LimitProbe",
-    "ScaleSchedule", "bound_check", "check_triangle",
-    "cross_polytope_counterexample", "limit_probe", "mag_distance",
-    "mag_distance_gradient", "multiscale_loss",
+    "ScaleSchedule", "bound_check", "check_triangle", "limit_probe",
+    "cross_polytope_counterexample", "mag_distance", "mag_distance_gradient",
     # baselines
     "mmd_squared", "sliced_wasserstein", "wasserstein_1d",
     # experiments
@@ -51,5 +50,6 @@ __all__ = [
     "summarize", "summary_path", "write_rows", "write_summary",
     # maggn
     "Generator", "TrainConfig", "TrainLog", "TrainLogRow", "forward",
-    "init_generator", "load_checkpoint", "sample", "save_checkpoint", "train",
+    "init_generator", "load_checkpoint", "multiscale_loss", "sample",
+    "save_checkpoint", "train",
 ]

@@ -50,6 +50,8 @@ def wasserstein_1d(xs, ys) -> float:
     ys = np.asarray(ys, dtype=np.float64).ravel()
     if xs.size == 0 or ys.size == 0:
         raise ValueError("wasserstein_1d needs nonempty samples")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("wasserstein_1d needs finite samples")
     return float(_w1_rows(xs[None, :], ys[None, :])[0])
 
 

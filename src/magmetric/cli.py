@@ -148,22 +148,21 @@ def cmd_experiment(args) -> None:
             raise ValueError("config file must hold a JSON object")
     overrides = {name: getattr(args, name) for name in STUDY_FLAGS
                  if getattr(args, name) is not None}
-    cfg = config_from_dict(args.study, file_data, **overrides,
-                           output_path=args.out)
-    out_dir = os.path.dirname(cfg.output_path) or "."
+    cfg = config_from_dict(args.study, file_data, **overrides)
+    out_dir = os.path.dirname(args.out) or "."
     if not os.path.isdir(out_dir):
         raise ValueError(f"output directory {out_dir!r} does not exist")
-    if os.path.isdir(cfg.output_path):
-        raise ValueError(f"--out {cfg.output_path!r} is a directory, not a file")
+    if os.path.isdir(args.out):
+        raise ValueError(f"--out {args.out!r} is a directory, not a file")
     cfg_dict = config_as_dict(cfg)
     _echo(args, seed=cfg.seed)
     _echo(args, config=json.dumps(cfg_dict, sort_keys=True))
     rows = run_study(args.study, cfg)
-    write_rows(cfg.output_path, rows)
-    spath = summary_path(cfg.output_path)
+    write_rows(args.out, rows)
+    spath = summary_path(args.out)
     write_summary(spath, rows)
     results = {"rows": len(rows), "failed_rows": sum(1 for r in rows if r.error),
-               "csv": cfg.output_path, "summary": spath}
+               "csv": args.out, "summary": spath}
     _report(args, "experiment", cfg.seed,
             {"study": args.study, "out": args.out, "config_file": args.config},
             {**results, "config": cfg_dict}, [{"study": args.study, **results}])

@@ -1,4 +1,4 @@
-"""Magnitude distance between point sets, curriculum loss, and checkers.
+"""Magnitude distance between point sets, the scale schedule, and checkers.
 
 The distance at scale t is 2*Mag(X u Y) - Mag(X) - Mag(Y); the normalized
 variant divides by Mag(X u Y). mag_distance and the training gradient share
@@ -171,33 +171,16 @@ def mag_distance(X: PointSet, Y: PointSet, t: float) -> DistanceReport:
         bound_2card=2.0 * len(union))
 
 
-def multiscale_loss(X: PointSet, Y: PointSet, schedule: ScaleSchedule, epoch: int,
-                    normalized_loss: bool = False) -> float:
-    """Sum of per-scale normalized distances over the entries active at `epoch`.
-
-    With normalized_loss the sum is divided by the active count. Returns 0
-    before the first activation epoch.
-    """
-    if epoch < 1:
-        raise ValueError("epoch must be >= 1")
-    active = schedule.active(epoch)
-    if not active:
-        return 0.0
-    total = sum(mag_distance(X, Y, t).normalized for t in active)
-    return total / len(active) if normalized_loss else total
-
-
-def _separation_check(dists: np.ndarray, x_rows: np.ndarray, y_rows: np.ndarray,
-                      eps_sep: float) -> None:
-    # every generated point must clear eps_sep against every other point of
-    # the stack [X'; Y], X' being X's distinct points in first-occurrence
-    # order; pairs index that stack
+def _separation_check(dists: np.ndarray, x_rows: np.ndarray, y_rows: np.ndarray) -> None:
+    # every generated point must clear DEFAULT_EPS_SEP against every other
+    # point of the stack [X'; Y], X' being X's distinct points in
+    # first-occurrence order; pairs index that stack
     stack = np.concatenate([_first_rows(x_rows), y_rows])
     n_x = len(stack) - len(y_rows)
     sub = dists[np.ix_(y_rows, stack)]
     k = np.arange(len(y_rows))
     sub[k, n_x + k] = np.inf  # a point's distance to itself
-    bad = sub < eps_sep
+    bad = sub < DEFAULT_EPS_SEP
     if bad.any():
         a, j = (int(v) for v in np.argwhere(bad)[0])
         d = float(sub[a, j])
@@ -208,8 +191,7 @@ def _separation_check(dists: np.ndarray, x_rows: np.ndarray, y_rows: np.ndarray,
         raise CoincidentPoints(n_x + a, j, d, message=msg + ", below the separation floor")
 
 
-def _value_and_gradient(X: PointSet, Y: PointSet, t: float, normalized: bool,
-                        eps_sep: float = DEFAULT_EPS_SEP):
+def _value_and_gradient(X: PointSet, Y: PointSet, t: float, normalized: bool):
     """(distance, d distance / d Y) from the same solves as mag_distance.
 
     X is fixed data; the gradient is taken in Y's coordinates, one row per
@@ -218,7 +200,7 @@ def _value_and_gradient(X: PointSet, Y: PointSet, t: float, normalized: bool,
     """
     _require_scale(t)
     union, dists, x_rows, y_rows = _union_geometry(X, Y)
-    _separation_check(dists, x_rows, y_rows, eps_sep)
+    _separation_check(dists, x_rows, y_rows)
     zeta, w_u, w_x, w_y = _union_weights(dists, x_rows, y_rows, t)
     mag_u = float(w_u.sum())
     dist, value = _combine(mag_u, float(w_x.sum()), float(w_y.sum()))

@@ -37,6 +37,13 @@ _LIST_FIELDS = {"dims": (numbers.Integral, int), "scales": (numbers.Real, float)
                 "epsilons": (numbers.Real, float), "radii": (numbers.Real, float)}
 
 
+def _require_distinct(cfg, name: str) -> None:
+    # a repeated grid value would write two different rows under one key
+    values = getattr(cfg, name)
+    if len(set(values)) != len(values):
+        raise ValueError(f"{name} must not repeat a value, got {list(values)}")
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Knobs shared by all studies; each study reads the fields it needs.
@@ -57,7 +64,6 @@ class StudyConfig:
     shifts: tuple[float, ...] = ()
     epsilons: tuple[float, ...] = ()
     radii: tuple[float, ...] = ()
-    output_path: str | None = None
 
     def __post_init__(self):
         for name in ("seed", "n_per_set", "trials"):
@@ -70,6 +76,8 @@ class StudyConfig:
             object.__setattr__(self, name, tuple(cast(v) for v in value))
             if cast is float and not all(map(math.isfinite, getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
+        for name in ("dims", "adaptive_scales", "shifts", "epsilons"):
+            _require_distinct(self, name)
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError("dims must be positive")
         if self.n_per_set < 1:
@@ -159,6 +167,7 @@ def _check_tsweep(cfg: StudyConfig) -> None:
         raise ValueError("tsweep needs a shift grid")
     if not cfg.scales:
         raise ValueError("tsweep needs scales")
+    _require_distinct(cfg, "scales")
 
 
 def _tsweep_trial(cfg: StudyConfig, rng: RngState, dim: int, shift: float) -> list:
@@ -177,6 +186,7 @@ def _tsweep_trial(cfg: StudyConfig, rng: RngState, dim: int, shift: float) -> li
 def _check_highdim(cfg: StudyConfig) -> None:
     if len(cfg.shifts) != 1:
         raise ValueError("highdim expects exactly one shift magnitude")
+    _require_distinct(cfg, "scales")
 
 
 def _highdim_trial(cfg: StudyConfig, rng: RngState, dim: int, shift: float) -> list:
@@ -209,6 +219,7 @@ def _check_outlier2d(cfg: StudyConfig) -> None:
         raise ValueError("outlier2d is a planar study; dims must be (2,)")
     if not cfg.scales:
         raise ValueError("outlier2d needs scales")
+    _require_distinct(cfg, "scales")
 
 
 def _pair_keys(method: str) -> list[tuple]:

@@ -154,15 +154,28 @@ def forward(gen: Generator, Z: PointSet) -> PointSet:
     return PointSet(_forward(gen, Z.coords)[0])
 
 
+def multiscale_loss(real: PointSet, gen: PointSet, scales) -> tuple[float, np.ndarray]:
+    """Mean normalized distance from real to gen over `scales`, and its
+    gradient in gen's points; the scales share gen's one union geometry."""
+    if len(scales) == 0:
+        raise ValueError("multiscale_loss needs at least one scale")
+    loss, grad = 0.0, np.zeros_like(gen.coords)
+    for t in scales:
+        val, g = _value_and_gradient(real, gen, t, normalized=True)
+        loss += val
+        grad += g
+    return loss / len(scales), grad / len(scales)
+
+
 def train(gen: Generator, data: PointSet, config: TrainConfig):
     """Adam on the multi-scale normalized distance; one update per epoch.
 
     Per epoch: draw a reference batch, push it forward, take a real
-    minibatch without replacement, average the normalized distance and its
-    gradient in the generated points over the active scales, backpropagate, and
-    step. Coincident generated points are retried once with a fresh
-    reference batch; a second failure logs the epoch as an error row and
-    skips the update. Returns (gen, TrainLog); gen is updated in place.
+    minibatch without replacement, take multiscale_loss over the active
+    scales, backpropagate, and step. Coincident generated points are retried
+    once with a fresh reference batch; a second failure logs the epoch as an
+    error row and skips the update. Returns (gen, TrainLog); gen is updated
+    in place.
     """
     if len(data) == 0:
         raise ValueError("training data must be nonempty")
@@ -188,33 +201,19 @@ def train(gen: Generator, data: PointSet, config: TrainConfig):
             continue
         picks = rng.permutation(len(data))[:batch_real]
         real_batch = PointSet(data.coords[picks])
-        outcome = None
-        error_text = ""
         for _ in range(2):  # one retry with a fresh reference batch
             z = rng.normals(config.batch_gen * gen.z_dim).reshape(
                 config.batch_gen, gen.z_dim)
             out, acts = _forward(gen, z)
-            generated = PointSet(out)  # one object, so the scales share its geometry
             try:
-                loss = 0.0
-                grad_out = np.zeros_like(out)
-                for t in active:
-                    val, grad = _value_and_gradient(real_batch, generated, t,
-                                                    normalized=True)
-                    loss += val
-                    grad_out += grad
-                loss /= len(active)
-                grad_out /= len(active)
-                outcome = (loss, grad_out, acts)
+                loss, grad_out = multiscale_loss(real_batch, PointSet(out), active)
                 break
             except CoincidentPoints as exc:
                 error_text = f"{type(exc).__name__}: {exc}"
-        elapsed = time.perf_counter() - started
-        if outcome is None:
-            log.rows.append(TrainLogRow(epoch, len(active), float("nan"),
-                                        float("nan"), elapsed, error=error_text))
+        else:
+            log.rows.append(TrainLogRow(epoch, len(active), float("nan"), float("nan"),
+                                        time.perf_counter() - started, error=error_text))
             continue
-        loss, grad_out, acts = outcome
         g_w, g_b = _backward(gen, acts, grad_out)
         grads = g_w + g_b
         step += 1

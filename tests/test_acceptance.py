@@ -227,18 +227,16 @@ def test_08_gradients():
                     biases=[np.array([0.1])])
     zs = RngState(3).normals(4).reshape(4, 1)
     out, acts = _forward(gen, zs)
-    _, dY = _value_and_gradient(data, PointSet(out), 0.9, True, 1e-9)
+    _, dY = _value_and_gradient(data, PointSet(out), 0.9, True)
     g_w, g_b = _backward(gen, acts, dY)
     worst_e2e = 0.0
     eps = 1e-6
     for arr, g, idx in ((gen.weights[0], g_w[0], (0, 0)),
                         (gen.biases[0], g_b[0], (0,))):
         arr[idx] += eps
-        up, _ = _value_and_gradient(data, forward(gen, PointSet(zs)), 0.9,
-                                    True, 1e-9)
+        up, _ = _value_and_gradient(data, forward(gen, PointSet(zs)), 0.9, True)
         arr[idx] -= 2 * eps
-        dn, _ = _value_and_gradient(data, forward(gen, PointSet(zs)), 0.9,
-                                    True, 1e-9)
+        dn, _ = _value_and_gradient(data, forward(gen, PointSet(zs)), 0.9, True)
         arr[idx] += eps
         fd = (up - dn) / (2 * eps)
         worst_e2e = max(worst_e2e, abs(g[idx] - fd) / max(abs(fd), 1e-8))

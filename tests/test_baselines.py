@@ -65,6 +65,10 @@ def test_wasserstein_1d_known_values():
     assert wasserstein_1d(a, a + 3.0) == pytest.approx(3.0, abs=1e-12)
     with pytest.raises(ValueError):
         wasserstein_1d(np.array([]), a)
+    for bad in (math.nan, math.inf, -math.inf):
+        for xs, ys in ((np.append(a, bad), a), (a, np.append(a, bad))):
+            with pytest.raises(ValueError, match="finite"):
+                wasserstein_1d(xs, ys)
 
 
 def test_sliced_wasserstein_1d_equals_w1():

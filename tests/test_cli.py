@@ -199,6 +199,16 @@ def test_non_finite_config_exits_2(csvs, capsys, tmp_path, argv, field):
     (["--study", "huber", "--scales", "0.1"], "huber needs exactly two scales"),
     (["--study", "highdim", "--shifts", "1,2"], "highdim expects exactly one shift"),
     (["--study", "tsweep", "--shifts", ""], "tsweep needs a shift grid"),
+    # a repeated grid value would write two different rows under one key
+    (["--study", "tsweep", "--dims", "2", "--trials", "1", "--n-per-set", "10",
+      "--shifts", "1,1", "--scales", "0.5"], "shifts must not repeat a value"),
+    (["--study", "tsweep", "--scales", "0.5,0.5"], "scales must not repeat a value"),
+    (["--study", "highdim", "--dims", "2,2"], "dims must not repeat a value"),
+    (["--study", "highdim", "--adaptive-scales", "inv_d,inv_d"],
+     "adaptive_scales must not repeat a value"),
+    (["--study", "highdim", "--scales", "0.1,0.1"], "scales must not repeat a value"),
+    (["--study", "outlier2d", "--scales", "5,5"], "scales must not repeat a value"),
+    (["--study", "huber", "--epsilons", "0.05,0.05"], "epsilons must not repeat a value"),
 ])
 def test_study_requirements_exit_2_before_echo(tmp_path, capsys, argv, message):
     code, out, err = run_cli(capsys, "experiment", *argv,
@@ -309,11 +319,15 @@ def test_experiment_config_file_and_flag_precedence(tmp_path, capsys):
 
 def test_experiment_rejects_unknown_config_key(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"mystery": 1}))
-    code, _, err = run_cli(capsys, "experiment", "--study", "tsweep",
-                           "--out", str(tmp_path / "o.csv"),
-                           "--config", str(cfg_path))
-    assert code == 2
+    # only --out names the output, so a config's output_path is unknown too
+    for field in ("mystery", "output_path"):
+        cfg_path.write_text(json.dumps({field: str(tmp_path / "zzz.csv")}))
+        code, out, err = run_cli(capsys, "experiment", "--study", "tsweep",
+                                 "--out", str(tmp_path / "o.csv"),
+                                 "--config", str(cfg_path))
+        assert code == 2
+        assert out == "" and f"unknown config fields: ['{field}']" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_maggn_train_sample_round_trip(tmp_path, capsys):

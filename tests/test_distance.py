@@ -13,9 +13,8 @@ from magmetric.core import (DimensionMismatch, PointSet, RngState,
 from magmetric.distance import (ScaleSchedule, bound_check, check_triangle,
                                 cross_polytope_counterexample, limit_probe,
                                 mag_distance, mag_distance_gradient,
-                                multiscale_loss, _union_geometry,
-                                _value_and_gradient)
-from magmetric.maggn import TrainConfig, init_generator, train
+                                _union_geometry, _value_and_gradient)
+from magmetric.maggn import TrainConfig, init_generator, multiscale_loss, train
 from magmetric.magnitude import CoincidentPoints, magnitude
 
 
@@ -135,17 +134,21 @@ def test_distance_rejects_bad_scale(t):
 
 def test_multiscale_loss_accumulates():
     x, y = _pair(9, n=10, dim=2)
-    s = ScaleSchedule.parse("0.5@1,1.5@3")
-    l1 = multiscale_loss(x, y, s, epoch=1)
-    l3 = multiscale_loss(x, y, s, epoch=3)
-    d05 = mag_distance(x, y, 0.5).normalized
-    d15 = mag_distance(x, y, 1.5).normalized
-    assert l1 == pytest.approx(d05, abs=1e-12)
-    assert l3 == pytest.approx(d05 + d15, abs=1e-12)
-    assert multiscale_loss(x, y, s, epoch=3, normalized_loss=True) == \
-        pytest.approx((d05 + d15) / 2, abs=1e-12)
-    s_later = ScaleSchedule.parse("0.5@5")
-    assert multiscale_loss(x, y, s_later, epoch=2) == 0.0
+    s = ScaleSchedule.parse("1.5@1,0.5@3,3.0@5")
+    for epoch in (1, 3, 5):
+        scales = s.active(epoch)
+        loss, grad = multiscale_loss(x, y, scales)
+        # bitwise the mean of the per-scale values, summed in schedule order
+        total = 0.0
+        for t in scales:
+            total += mag_distance(x, y, t).normalized
+        assert loss == total / len(scales)
+        want = sum(mag_distance_gradient(x, y, t, normalized=True)
+                   for t in scales) / len(scales)
+        assert grad.shape == y.coords.shape and np.array_equal(grad, want)
+    for empty in ([], (), s.active(0)):
+        with pytest.raises(ValueError, match="at least one scale"):
+            multiscale_loss(x, y, empty)
 
 
 def _fd_grad(x, y, t, normalized, eps=1e-6):
@@ -171,7 +174,7 @@ def test_distance_gradient_matches_fd(normalized):
         x = sample_gaussian(rng.derive(0), 8, 2)
         y = sample_gaussian(rng.derive(1), 6, 2, mean=0.5)
         t = 0.8
-        val, grad = _value_and_gradient(x, y, t, normalized, 1e-9)
+        val, grad = _value_and_gradient(x, y, t, normalized)
         rep = mag_distance(x, y, t)
         want = rep.normalized if normalized else rep.distance
         assert val == pytest.approx(want, abs=1e-10)
@@ -297,11 +300,13 @@ def test_scales_share_one_geometry(cdist_calls):
 
 def test_multiscale_loss_builds_one_geometry(cdist_calls):
     x, y = _pair(22, n=12, dim=3)
-    s = ScaleSchedule.parse("0.5@1,1.0@2,1.5@3")
-    loss = multiscale_loss(x, y, s, epoch=3)
+    scales = ScaleSchedule.parse("0.5@1,1.0@2,1.5@3").active(3)
+    loss, grad = multiscale_loss(x, y, scales)
     assert len(cdist_calls) == 1
-    assert loss == sum(mag_distance(_fresh(x), _fresh(y), t).normalized
-                       for t in (0.5, 1.0, 1.5))
+    # fresh objects build their own geometry and give the same bytes
+    fresh_loss, fresh_grad = multiscale_loss(_fresh(x), _fresh(y), scales)
+    assert len(cdist_calls) == 2
+    assert fresh_loss == loss and fresh_grad.tobytes() == grad.tobytes()
 
 
 def test_train_builds_one_geometry_per_attempt(cdist_calls, monkeypatch):

@@ -73,6 +73,15 @@ def test_config_validation():
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 StudyConfig(**{name: (good, bad)})
+    for name, value in (("dims", (2, 2)), ("adaptive_scales", ("inv_d", "inv_d")),
+                        ("shifts", (1.0, 1.0)), ("epsilons", (0.05, 0.05))):
+        with pytest.raises(ValueError, match=f"{name} must not repeat"):
+            StudyConfig(**{name: value})
+    for study in ("tsweep", "highdim", "outlier2d"):
+        with pytest.raises(ValueError, match="scales must not repeat"):
+            config_from_dict(study, {"scales": [0.5, 0.25, 0.5]})
+    # huber's two scales are roles (standard, normalized), so they may agree
+    assert config_from_dict("huber", {"scales": [0.1, 0.1]}).scales == (0.1, 0.1)
 
 
 def test_study_requirements_checked_when_built():
@@ -156,7 +165,7 @@ def test_bad_thread_env_falls_back(monkeypatch):
 
 def test_csv_format(tmp_path):
     path = str(tmp_path / "out.csv")
-    cfg = config_from_dict("outlier2d", {}, trials=1, n_per_set=40, output_path=path)
+    cfg = config_from_dict("outlier2d", {}, trials=1, n_per_set=40)
     rows = run_study("outlier2d", cfg)
     write_rows(path, rows)
     raw = open(path, "rb").read()

@@ -10,10 +10,11 @@ import magmetric.maggn
 from magmetric.cli import main
 from magmetric.core import (DimensionMismatch, PointSet, RngState, sample_gaussian,
                             write_point_csv)
-from magmetric.distance import ScaleSchedule, multiscale_loss
+from magmetric.distance import ScaleSchedule
 from magmetric.maggn import (TRAIN_LOG_HEADER, Generator, TrainConfig,
-                             TrainLog, forward, init_generator,
-                             load_checkpoint, sample, save_checkpoint, train)
+                             TrainLog, _backward, _forward, forward,
+                             init_generator, load_checkpoint, multiscale_loss,
+                             sample, save_checkpoint, train)
 from magmetric.magnitude import CoincidentPoints
 
 
@@ -132,20 +133,25 @@ def test_train_deterministic_and_logged():
 
 
 def test_train_loss_matches_multiscale_loss():
-    # with lr=0 the generator never moves, so the logged loss must equal
-    # the loss recomputed from the frozen generator's own samples
+    # with lr=0 the generator never moves, so every logged loss and gradient
+    # norm must equal the ones recomputed from the frozen generator's own
+    # samples, as the active scales grow from one to two
     data = _data(n=32)
     gen = init_generator(RngState(4), (2, 6, 2))
-    cfg = TrainConfig(schedule=small_schedule(), epochs=1, batch_real=32,
+    cfg = TrainConfig(schedule=small_schedule(), epochs=3, batch_real=32,
                       batch_gen=16, learning_rate=0.0, seed=9)
     trained, log = train(gen, data, cfg)
     z = RngState(9).derive(1)  # training stream
-    picks = z.permutation(len(data))[:32]
-    real = PointSet(data.coords[picks])
-    zs = z.normals(16 * 2).reshape(16, 2)
-    out = forward(trained, PointSet(zs))
-    want = multiscale_loss(real, out, small_schedule(), 1, normalized_loss=True)
-    assert log.rows[0].loss == want
+    for epoch, row in enumerate(log.rows, start=1):
+        picks = z.permutation(len(data))[:32]
+        real = PointSet(data.coords[picks])
+        out, acts = _forward(trained, z.normals(16 * 2).reshape(16, 2))
+        scales = small_schedule().active(epoch)
+        loss, grad_out = multiscale_loss(real, PointSet(out), scales)
+        g_w, g_b = _backward(trained, acts, grad_out)
+        grad_norm = math.sqrt(sum(float((g * g).sum()) for g in g_w + g_b))
+        assert (row.active_scales, row.loss, row.grad_norm) == \
+            (len(scales), loss, grad_norm)
 
 
 def test_end_to_end_gradient_micro_net():
@@ -154,7 +160,6 @@ def test_end_to_end_gradient_micro_net():
     # direction at step one: Adam normalizes, so instead check the raw
     # gradient via a manual replay of the forward/backward path.
     from magmetric.distance import _value_and_gradient
-    from magmetric.maggn import _forward, _backward
 
     data = PointSet([[0.0], [0.6], [1.2]])
     gen = Generator(layer_dims=(1, 1),
@@ -164,18 +169,16 @@ def test_end_to_end_gradient_micro_net():
     t = 0.9
 
     out, acts = _forward(gen, zs)
-    val, dY = _value_and_gradient(data, PointSet(out), t, True, 1e-9)
+    val, dY = _value_and_gradient(data, PointSet(out), t, True)
     g_w, g_b = _backward(gen, acts, dY)
 
     eps = 1e-6
     for arr, g, idx in ((gen.weights[0], g_w[0], (0, 0)),
                         (gen.biases[0], g_b[0], (0,))):
         arr[idx] += eps
-        up, _ = _value_and_gradient(
-            data, forward(gen, PointSet(zs)), t, True, 1e-9)
+        up, _ = _value_and_gradient(data, forward(gen, PointSet(zs)), t, True)
         arr[idx] -= 2 * eps
-        dn, _ = _value_and_gradient(
-            data, forward(gen, PointSet(zs)), t, True, 1e-9)
+        dn, _ = _value_and_gradient(data, forward(gen, PointSet(zs)), t, True)
         arr[idx] += eps
         fd = (up - dn) / (2 * eps)
         assert g[idx] == pytest.approx(fd, rel=1e-4)
