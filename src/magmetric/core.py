@@ -106,13 +106,12 @@ class RngState:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates shuffle of arange(n); one word per swap."""
-        idx = np.arange(n)
-        if n > 1:
-            words = self._bulk_u64(n - 1)
-            for pos, i in enumerate(range(n - 1, 0, -1)):
-                j = int(words[pos] % np.uint64(i + 1))
-                idx[i], idx[j] = idx[j], idx[i]
-        return idx
+        idx = list(range(n))
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)  # swap i draws word % (i + 1)
+        js = (self._bulk_u64(len(bounds)) % bounds).tolist()
+        for i, j in zip(range(n - 1, 0, -1), js):
+            idx[i], idx[j] = idx[j], idx[i]
+        return np.array(idx, dtype=np.intp)
 
     def derive(self, index: int) -> "RngState":
         """Independent stream for trial `index` (seed XOR index, re-mixed).
@@ -186,7 +185,7 @@ def _pair_memo(fn):
     call on the same two objects (by identity) gets the stored result. The slot
     holds strong references, so neither id can be reused while it is stored,
     and it is emptied before a new result is computed, so at most one result
-    per thread is alive. The result's arrays are made read-only.
+    per thread is alive. Its arrays, also those in tuples, are made read-only.
     """
     local = threading.local()
 
@@ -197,8 +196,9 @@ def _pair_memo(fn):
             return last[2]
         local.last = None
         result = fn(X, Y)
-        for arr in result:
-            arr.setflags(write=False)
+        for item in result:
+            for arr in item if isinstance(item, tuple) else (item,):
+                arr.setflags(write=False)
         local.last = (X, Y, result)
         return result
     return memo

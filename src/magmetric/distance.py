@@ -6,7 +6,7 @@ one core: one distance matrix and one zeta for the union, in a canonical row
 order so that swapping the arguments returns bit-identical numbers, with
 Mag(X) and Mag(Y) solved on principal blocks of that zeta. Only zeta and the
 solves depend on t: consecutive calls on the same two PointSets share one
-distance matrix.
+distance matrix, and the gradient's separation check and inverse distances.
 """
 from __future__ import annotations
 
@@ -21,8 +21,8 @@ from .core import (PointSet, _pair_memo, _require_same_dim, _unique_rows,
                    symmetric_difference_count, union_sets)
 from .core import dedupe  # noqa: F401 - bound for bench/tracer.py, unused here
 from .magnitude import (DEFAULT_EPS_SEP, DEFAULT_SUPPORT_TOL, CholeskyFailure,
-                        CoincidentPoints, _gradient_rows, _require_scale,
-                        _solve_ones, magnitude)
+                        CoincidentPoints, _gradient_rows, _inverse_distances,
+                        _require_scale, _solve_ones, magnitude)
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,9 @@ class DistanceReport:
 class ScaleSchedule:
     """Ordered (t_i, e_i) pairs: at epoch e_i the scale t_i joins the loss.
 
-    Epochs must be positive and strictly increasing. Nondecreasing scales
-    are the intended usage (coarse to fine); violations are legal here and
-    warned about by the consumers, since the loss is defined either way.
+    Epochs must be positive and strictly increasing; a scale may not repeat.
+    Nondecreasing scales are intended (coarse to fine); violations are legal
+    and warned about by the consumers, since the loss is defined either way.
     """
 
     entries: tuple[tuple[float, int], ...]
@@ -53,10 +53,12 @@ class ScaleSchedule:
         if not cleaned:
             raise ValueError("schedule needs at least one entry")
         prev_epoch = 0
-        for t, e in cleaned:
+        for i, (t, e) in enumerate(cleaned):
             _require_scale(t, "schedule scales")
             if e <= prev_epoch:
                 raise ValueError("schedule epochs must be strictly increasing and >= 1")
+            if any(t == s for s, _ in cleaned[:i]):
+                raise ValueError(f"schedule scales must not repeat a value, got {t!r} twice")
             prev_epoch = e
         object.__setattr__(self, "entries", cleaned)
 
@@ -110,13 +112,15 @@ class CrossPolytopeResult(NamedTuple):
 
 @_pair_memo
 def _union_geometry(X: PointSet, Y: PointSet):
-    """(union, dists, x_rows, y_rows): the exact union X u Y in canonical
-    order (which depends only on the point set, so a swap changes nothing),
-    its one distance matrix, and the union row of each point of X and of Y.
-    Read-only, and computed once for consecutive calls on the same pair."""
+    """(union, dists, x_rows, y_rows, x_block, y_block): the exact union X u Y
+    in canonical order (only the point set decides it, so a swap changes
+    nothing), its distance matrix, each point's union row, and np.ix_ of X's
+    and Y's blocks. Read-only, and computed once for consecutive calls on a pair."""
     _require_same_dim(X, Y)
     union, _, inverse = _unique_rows(np.concatenate([X.coords, Y.coords]))
-    return union, cdist(union, union), inverse[:len(X)], inverse[len(X):]
+    x_rows, y_rows = inverse[:len(X)], inverse[len(X):]
+    blocks = [np.ix_(f, f) for f in (_first_rows(x_rows), _first_rows(y_rows))]
+    return union, cdist(union, union), x_rows, y_rows, *blocks
 
 
 def _first_rows(rows: np.ndarray) -> np.ndarray:
@@ -136,13 +140,12 @@ def _weights(zeta: np.ndarray, label: str) -> np.ndarray:
                               condition_hint=exc.condition_hint) from None
 
 
-def _union_weights(dists, x_rows, y_rows, t):
+def _union_weights(dists, x_block, y_block, t):
     """zeta of X u Y and the weightings of X u Y, X and Y on its blocks; X and Y
     in first-occurrence order, so their sums are bitwise magnitude(., t)."""
     zeta = np.exp(-t * dists)
-    fx, fy = _first_rows(x_rows), _first_rows(y_rows)
-    return (zeta, _weights(zeta, "union"), _weights(zeta[np.ix_(fx, fx)], "x"),
-            _weights(zeta[np.ix_(fy, fy)], "y"))
+    return (zeta, _weights(zeta, "union"), _weights(zeta[x_block], "x"),
+            _weights(zeta[y_block], "y"))
 
 
 def _combine(mag_u: float, mag_x: float, mag_y: float) -> tuple[float, float]:
@@ -159,8 +162,8 @@ def mag_distance(X: PointSet, Y: PointSet, t: float) -> DistanceReport:
     bit-identical under argument swap.
     """
     _require_scale(t)
-    union, dists, x_rows, y_rows = _union_geometry(X, Y)
-    _, w_u, w_x, w_y = _union_weights(dists, x_rows, y_rows, t)
+    union, dists, _, _, x_block, y_block = _union_geometry(X, Y)
+    _, w_u, w_x, w_y = _union_weights(dists, x_block, y_block, t)
     mag_u, mag_x, mag_y = float(w_u.sum()), float(w_x.sum()), float(w_y.sum())
     distance, normalized = _combine(mag_u, mag_x, mag_y)
     nonneg = tuple(bool(w.size == 0 or w.min() >= -DEFAULT_SUPPORT_TOL)
@@ -191,6 +194,17 @@ def _separation_check(dists: np.ndarray, x_rows: np.ndarray, y_rows: np.ndarray)
         raise CoincidentPoints(n_x + a, j, d, message=msg + ", below the separation floor")
 
 
+@_pair_memo
+def _gradient_geometry(X: PointSet, Y: PointSet):
+    """(inv_u, inv_y): 1 / d from each point of Y to X u Y and to Y, 0 in its
+    own column. A pair that fails the separation check stores nothing; one
+    that passes has a duplicate-free Y, so y_block is np.ix_(y_rows, y_rows)."""
+    _, dists, x_rows, y_rows, _, y_block = _union_geometry(X, Y)
+    _separation_check(dists, x_rows, y_rows)
+    return (_inverse_distances(dists, y_rows),
+            _inverse_distances(dists[y_block], np.arange(len(Y))))
+
+
 def _value_and_gradient(X: PointSet, Y: PointSet, t: float, normalized: bool):
     """(distance, d distance / d Y) from the same solves as mag_distance.
 
@@ -199,16 +213,14 @@ def _value_and_gradient(X: PointSet, Y: PointSet, t: float, normalized: bool):
     is bitwise mag_distance(X, Y, t).distance, or .normalized.
     """
     _require_scale(t)
-    union, dists, x_rows, y_rows = _union_geometry(X, Y)
-    _separation_check(dists, x_rows, y_rows)
-    zeta, w_u, w_x, w_y = _union_weights(dists, x_rows, y_rows, t)
+    union, dists, _, y_rows, x_block, y_block = _union_geometry(X, Y)
+    inv_u, inv_y = _gradient_geometry(X, Y)
+    zeta, w_u, w_x, w_y = _union_weights(dists, x_block, y_block, t)
     mag_u = float(w_u.sum())
     dist, value = _combine(mag_u, float(w_x.sum()), float(w_y.sum()))
-    grad_u = _gradient_rows(union, dists, zeta, w_u, t, y_rows)
+    grad_u = _gradient_rows(union, zeta, inv_u, w_u, t, y_rows)
     # Y is duplicate-free, so w_y is ordered like y_rows and Y's own rows
-    y_block = np.ix_(y_rows, y_rows)
-    grad_y = _gradient_rows(Y.coords, dists[y_block], zeta[y_block], w_y, t,
-                            np.arange(len(Y)))
+    grad_y = _gradient_rows(Y.coords, zeta[y_block], inv_y, w_y, t, np.arange(len(Y)))
     grad = 2.0 * grad_u - grad_y
     if not normalized:
         return dist, grad

@@ -170,20 +170,22 @@ def magnitude_function(X: PointSet, ts) -> list[ScalePoint]:
     return out
 
 
-def _gradient_rows(coords: np.ndarray, dists: np.ndarray, zeta: np.ndarray,
+def _inverse_distances(dists: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """1 / d on rows `rows` of dists, 0 in each row's own column. Callers check
+    separation first, so no other entry divides by zero."""
+    dr = dists[rows, :]
+    dr[np.arange(len(rows)), rows] = np.inf  # a point's distance to itself
+    return 1.0 / dr
+
+
+def _gradient_rows(coords: np.ndarray, zeta: np.ndarray, inv: np.ndarray,
                    w: np.ndarray, t: float, rows: np.ndarray) -> np.ndarray:
     """Rows `rows` of the gradient of sum(w) in the point coordinates.
 
-    Row k is 2t * w_k * sum_{j != k} w_j * zeta_kj * (x_k - x_j) / d_kj.
-    Callers must have checked separation for every (row, other) pair.
+    Row k is 2t * w_k * sum_{j != k} w_j * zeta_kj * (x_k - x_j) / d_kj, with
+    inv = _inverse_distances(dists, rows).
     """
-    sub = zeta[rows, :] * (w[rows, None] * w[None, :])
-    dr = dists[rows, :]
-    inv = np.zeros_like(sub)
-    mask = np.ones(sub.shape, dtype=bool)
-    mask[np.arange(len(rows)), rows] = False  # drop the self column
-    inv[mask] = 1.0 / dr[mask]
-    m = sub * inv
+    m = zeta[rows, :] * (w[rows, None] * w[None, :]) * inv
     return 2.0 * t * (m.sum(axis=1)[:, None] * coords[rows] - m @ coords)
 
 
@@ -205,4 +207,5 @@ def magnitude_gradient(X: PointSet, t: float) -> np.ndarray:
         raise CoincidentPoints(k // n, k % n, float(masked.flat[k]))
     zeta = np.exp(-t * dists)
     w, _, _, _ = _solve_ones(zeta, False)
-    return _gradient_rows(reps.coords, dists, zeta, w, t, np.arange(n))
+    rows = np.arange(n)
+    return _gradient_rows(reps.coords, zeta, _inverse_distances(dists, rows), w, t, rows)

@@ -371,6 +371,14 @@ def test_maggn_train_bad_schedule(tmp_path, capsys):
                            "--schedule", "0.5@3,1.5@2", "--out",
                            str(tmp_path / "r"))
     assert code == 2
+    # a repeated scale would count twice in the loss: refused before any write
+    code, out, err = run_cli(capsys, "maggn", "train", "--data", data_csv,
+                             "--schedule", "0.5@1,0.5@2", "--out",
+                             str(tmp_path / "r"))
+    assert code == 2
+    assert out == ""
+    assert "must not repeat a value, got 0.5" in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_maggn_sample_without_checkpoint(tmp_path, capsys):

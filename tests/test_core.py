@@ -63,6 +63,28 @@ def test_rng_permutation_is_permutation():
     assert RngState(77).permutation(0).size == 0
 
 
+def _scalar_permutation(rng, n):
+    # the reference: Fisher-Yates with one numpy scalar modulo per swap
+    idx = np.arange(n)
+    if n > 1:
+        words = rng._bulk_u64(n - 1)
+        for pos, i in enumerate(range(n - 1, 0, -1)):
+            j = int(words[pos] % np.uint64(i + 1))
+            idx[i], idx[j] = idx[j], idx[i]
+    return idx
+
+
+@pytest.mark.parametrize("seed", [0, 77, 2**64 - 1])
+def test_rng_permutation_matches_scalar_loop(seed):
+    for n in (0, 1, 2, 3, 64, 256, 1000):
+        rng, ref = RngState(seed).derive(n), RngState(seed).derive(n)
+        got, want = rng.permutation(n), _scalar_permutation(ref, n)
+        assert got.dtype == want.dtype == np.intp
+        assert np.array_equal(got, want)
+        # the same number of words was consumed
+        assert rng.next_u64() == ref.next_u64()
+
+
 def test_rng_derive_streams_disjoint_and_stable():
     base = RngState(42)
     d0 = base.derive(0)

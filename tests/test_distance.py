@@ -13,7 +13,8 @@ from magmetric.core import (DimensionMismatch, PointSet, RngState,
 from magmetric.distance import (ScaleSchedule, bound_check, check_triangle,
                                 cross_polytope_counterexample, limit_probe,
                                 mag_distance, mag_distance_gradient,
-                                _union_geometry, _value_and_gradient)
+                                _gradient_geometry, _union_geometry,
+                                _value_and_gradient)
 from magmetric.maggn import TrainConfig, init_generator, multiscale_loss, train
 from magmetric.magnitude import CoincidentPoints, magnitude
 
@@ -102,6 +103,9 @@ def test_schedule_parse_and_active():
     assert list(s.active(100)) == [0.5, 1.5]
     assert list(s.active(300)) == [0.5, 1.5, 3.0]
     assert list(ScaleSchedule.parse("2.0@5").active(4)) == []
+    # decreasing scales are allowed, only flagged
+    s = ScaleSchedule.parse("3.0@1,0.5@10")
+    assert not s.scales_nondecreasing
 
 
 def test_schedule_validation():
@@ -114,6 +118,15 @@ def test_schedule_validation():
     for text in ("nan@1", "inf@1", "0.5@1,nan@2"):
         with pytest.raises(ValueError, match="finite"):
             ScaleSchedule.parse(text)
+    with pytest.raises(ValueError):
+        ScaleSchedule.parse("junk")
+    # a repeated scale would count twice in the training loss
+    for text, value in (("0.5@1,0.5@2", "0.5"), ("1@1,2@2,1.0@3", "1.0"),
+                        ("0.25@1,3@5,0.25@9", "0.25")):
+        with pytest.raises(ValueError, match=f"must not repeat a value, got {value} "):
+            ScaleSchedule.parse(text)
+    with pytest.raises(ValueError, match="must not repeat"):
+        ScaleSchedule(((2.0, 1), (2, 4)))
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
@@ -125,11 +138,6 @@ def test_distance_rejects_bad_scale(t):
         _value_and_gradient(x, y, t, normalized=True)
     with pytest.raises(ValueError):
         cross_polytope_counterexample(3, t)
-    with pytest.raises(ValueError):
-        ScaleSchedule.parse("junk")
-    # decreasing scales are allowed, only flagged
-    s = ScaleSchedule.parse("3.0@1,0.5@10")
-    assert not s.scales_nondecreasing
 
 
 def test_multiscale_loss_accumulates():
@@ -284,6 +292,20 @@ def cdist_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def separation_checks(monkeypatch):
+    """One entry per separation check run on the training path."""
+    calls = []
+    real = magmetric.distance._separation_check
+
+    def counting(dists, x_rows, y_rows):
+        calls.append(len(y_rows))
+        return real(dists, x_rows, y_rows)
+
+    monkeypatch.setattr(magmetric.distance, "_separation_check", counting)
+    return calls
+
+
 def _fresh(p: PointSet) -> PointSet:
     return PointSet(p.coords)
 
@@ -298,14 +320,23 @@ def test_scales_share_one_geometry(cdist_calls):
     assert len(cdist_calls) == 1 + len(scales)
 
 
-def test_multiscale_loss_builds_one_geometry(cdist_calls):
+def test_multiscale_loss_builds_one_geometry(cdist_calls, separation_checks):
     x, y = _pair(22, n=12, dim=3)
     scales = ScaleSchedule.parse("0.5@1,1.0@2,1.5@3").active(3)
     loss, grad = multiscale_loss(x, y, scales)
-    assert len(cdist_calls) == 1
+    assert len(cdist_calls) == len(separation_checks) == 1
+    # every scale and form on the stored geometry, then on fresh objects
+    stored = [_value_and_gradient(x, y, t, normalized)
+              for t in scales for normalized in (True, False)]
+    assert len(cdist_calls) == len(separation_checks) == 1
+    fresh = [_value_and_gradient(_fresh(x), _fresh(y), t, normalized)
+             for t in scales for normalized in (True, False)]
+    assert len(cdist_calls) == len(separation_checks) == 1 + len(fresh)
+    for (val, g), (fresh_val, fresh_g) in zip(stored, fresh):
+        assert val == fresh_val and g.tobytes() == fresh_g.tobytes()
     # fresh objects build their own geometry and give the same bytes
     fresh_loss, fresh_grad = multiscale_loss(_fresh(x), _fresh(y), scales)
-    assert len(cdist_calls) == 2
+    assert len(cdist_calls) == len(separation_checks) == 2 + len(fresh)
     assert fresh_loss == loss and fresh_grad.tobytes() == grad.tobytes()
 
 
@@ -331,13 +362,15 @@ def test_train_builds_one_geometry_per_attempt(cdist_calls, monkeypatch):
 
 def test_geometry_is_read_only():
     x, y = _pair(24, n=6, dim=2)
-    for arr in _union_geometry(x, y):
+    union, dists, x_rows, y_rows, x_block, y_block = _union_geometry(x, y)
+    inv_u, inv_y = _gradient_geometry(x, y)
+    for arr in (union, dists, x_rows, y_rows, *x_block, *y_block, inv_u, inv_y):
         assert arr.size
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = arr.flat[0]
 
 
-def test_geometry_recomputed_after_errors(cdist_calls):
+def test_geometry_recomputed_after_errors(cdist_calls, separation_checks):
     x = PointSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     y = PointSet([[2.0, 2.0], [3.0, 1.0]])
     clash = PointSet([[2.0, 2.0], [1.0, 0.0]])  # its second point is x's second
@@ -347,8 +380,10 @@ def test_geometry_recomputed_after_errors(cdist_calls):
     with pytest.raises(DimensionMismatch):
         mag_distance(x, PointSet([[1.0, 2.0, 3.0]]), 0.9)
     assert mag_distance(x, y, 0.9) == want
-    with pytest.raises(CoincidentPoints):
-        _value_and_gradient(x, clash, 0.9, True)
+    for normalized in (True, False):  # a failed check stores nothing
+        with pytest.raises(CoincidentPoints):
+            _value_and_gradient(x, clash, 0.9, normalized)
+    assert len(separation_checks) == 2
     # the failed pair's geometry is still right for a plain distance
     assert mag_distance(x, clash, 0.9) == mag_distance(_fresh(x), _fresh(clash), 0.9)
     assert mag_distance(x, y, 0.9) == want
