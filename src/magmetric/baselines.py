@@ -2,30 +2,32 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import PointSet, RngState, _require_same_dim
+from .distance import _union_geometry
 from .magnitude import _require_scale
 
 
-def _gaussian_gram(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
-    """exp(-||a_i - b_j||^2 / (2 * sigma^2)) for every row pair."""
-    return np.exp(-cdist(a, b, "sqeuclidean") / (2.0 * sigma**2))
+def _gaussian_gram(sq: np.ndarray, sigma: float) -> np.ndarray:
+    """exp(-sq / (2 * sigma^2)) on squared distances."""
+    return np.exp(-sq / (2.0 * sigma**2))
 
 
 def mmd_squared(X: PointSet, Y: PointSet, sigma: float) -> float:
     """Biased squared-MMD V-statistic under the Gaussian kernel of bandwidth sigma.
 
     mean(Kxx) + mean(Kyy) - 2*mean(Kxy) with the diagonal terms included,
-    which is what makes Y = X give exactly 0.
+    which is what makes Y = X give exactly 0. The blocks are gathered from
+    the pair's stored union geometry, bitwise cdist(., ., "sqeuclidean").
     """
     _require_scale(sigma, "bandwidth sigma")
     _require_same_dim(X, Y)
     if len(X) == 0 or len(Y) == 0:
         raise ValueError("mmd_squared needs nonempty sets")
-    k_xx = _gaussian_gram(X.coords, X.coords, sigma).mean()
-    k_yy = _gaussian_gram(Y.coords, Y.coords, sigma).mean()
-    k_xy = _gaussian_gram(X.coords, Y.coords, sigma).mean()
+    _, sq, _, x_rows, y_rows, _, _ = _union_geometry(X, Y)
+    k_xx = _gaussian_gram(sq[np.ix_(x_rows, x_rows)], sigma).mean()
+    k_yy = _gaussian_gram(sq[np.ix_(y_rows, y_rows)], sigma).mean()
+    k_xy = _gaussian_gram(sq[np.ix_(x_rows, y_rows)], sigma).mean()
     return float(k_xx + k_yy - 2.0 * k_xy)
 
 

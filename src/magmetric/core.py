@@ -12,7 +12,7 @@ import math
 import threading
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import pdist, squareform
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -215,11 +215,20 @@ def _require_same_dim(X: PointSet, Y: PointSet) -> None:
         raise DimensionMismatch(f"dim {X.dim} vs dim {Y.dim}")
 
 
+def _sq_distances(coords: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance matrix of the rows; bitwise
+    cdist(coords, coords, "sqeuclidean") at half its pair evaluations, and
+    its square root is bitwise cdist(coords, coords)."""
+    if len(coords) == 0:  # squareform of an empty vector is [[0.]]
+        return np.zeros((0, 0))
+    return squareform(pdist(coords, "sqeuclidean"))
+
+
 def pairwise_distances(X: PointSet) -> np.ndarray:
     """Euclidean distance matrix; symmetric with a zero diagonal."""
     if len(X) == 0:
         raise ValueError("pairwise_distances needs a nonempty set")
-    return cdist(X.coords, X.coords)
+    return np.sqrt(_sq_distances(X.coords))
 
 
 def dedupe(X: PointSet):

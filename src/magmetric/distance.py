@@ -6,7 +6,8 @@ one core: one distance matrix and one zeta for the union, in a canonical row
 order so that swapping the arguments returns bit-identical numbers, with
 Mag(X) and Mag(Y) solved on principal blocks of that zeta. Only zeta and the
 solves depend on t: consecutive calls on the same two PointSets share one
-distance matrix, and the gradient's separation check and inverse distances.
+squared-distance matrix (which mmd_squared reads too) and its square root,
+and the gradient's separation check and inverse distances.
 """
 from __future__ import annotations
 
@@ -15,10 +16,10 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist  # noqa: F401 - bound for bench/tracer.py
 
-from .core import (PointSet, _pair_memo, _require_same_dim, _unique_rows,
-                   symmetric_difference_count, union_sets)
+from .core import (PointSet, _pair_memo, _require_same_dim, _sq_distances,
+                   _unique_rows, symmetric_difference_count, union_sets)
 from .core import dedupe  # noqa: F401 - bound for bench/tracer.py, unused here
 from .magnitude import (DEFAULT_EPS_SEP, DEFAULT_SUPPORT_TOL, CholeskyFailure,
                         CoincidentPoints, _gradient_rows, _inverse_distances,
@@ -112,15 +113,17 @@ class CrossPolytopeResult(NamedTuple):
 
 @_pair_memo
 def _union_geometry(X: PointSet, Y: PointSet):
-    """(union, dists, x_rows, y_rows, x_block, y_block): the exact union X u Y
-    in canonical order (only the point set decides it, so a swap changes
-    nothing), its distance matrix, each point's union row, and np.ix_ of X's
-    and Y's blocks. Read-only, and computed once for consecutive calls on a pair."""
+    """(union, sq, dists, x_rows, y_rows, x_block, y_block): the exact union
+    X u Y in canonical order (only the point set decides it, so a swap changes
+    nothing), its squared and plain distance matrices, each point's union row,
+    and np.ix_ of X's and Y's blocks. Read-only, and computed once for
+    consecutive calls on a pair."""
     _require_same_dim(X, Y)
     union, _, inverse = _unique_rows(np.concatenate([X.coords, Y.coords]))
     x_rows, y_rows = inverse[:len(X)], inverse[len(X):]
     blocks = [np.ix_(f, f) for f in (_first_rows(x_rows), _first_rows(y_rows))]
-    return union, cdist(union, union), x_rows, y_rows, *blocks
+    sq = _sq_distances(union)
+    return union, sq, np.sqrt(sq), x_rows, y_rows, *blocks
 
 
 def _first_rows(rows: np.ndarray) -> np.ndarray:
@@ -162,7 +165,7 @@ def mag_distance(X: PointSet, Y: PointSet, t: float) -> DistanceReport:
     bit-identical under argument swap.
     """
     _require_scale(t)
-    union, dists, _, _, x_block, y_block = _union_geometry(X, Y)
+    union, _, dists, _, _, x_block, y_block = _union_geometry(X, Y)
     _, w_u, w_x, w_y = _union_weights(dists, x_block, y_block, t)
     mag_u, mag_x, mag_y = float(w_u.sum()), float(w_x.sum()), float(w_y.sum())
     distance, normalized = _combine(mag_u, mag_x, mag_y)
@@ -199,7 +202,7 @@ def _gradient_geometry(X: PointSet, Y: PointSet):
     """(inv_u, inv_y): 1 / d from each point of Y to X u Y and to Y, 0 in its
     own column. A pair that fails the separation check stores nothing; one
     that passes has a duplicate-free Y, so y_block is np.ix_(y_rows, y_rows)."""
-    _, dists, x_rows, y_rows, _, y_block = _union_geometry(X, Y)
+    _, _, dists, x_rows, y_rows, _, y_block = _union_geometry(X, Y)
     _separation_check(dists, x_rows, y_rows)
     return (_inverse_distances(dists, y_rows),
             _inverse_distances(dists[y_block], np.arange(len(Y))))
@@ -213,7 +216,7 @@ def _value_and_gradient(X: PointSet, Y: PointSet, t: float, normalized: bool):
     is bitwise mag_distance(X, Y, t).distance, or .normalized.
     """
     _require_scale(t)
-    union, dists, _, y_rows, x_block, y_block = _union_geometry(X, Y)
+    union, _, dists, _, y_rows, x_block, y_block = _union_geometry(X, Y)
     inv_u, inv_y = _gradient_geometry(X, Y)
     zeta, w_u, w_x, w_y = _union_weights(dists, x_block, y_block, t)
     mag_u = float(w_u.sum())

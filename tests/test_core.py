@@ -7,7 +7,7 @@ import pytest
 
 import magmetric
 from magmetric.core import (DimensionMismatch, PointCsvError, PointSet,
-                            RngState, dedupe, pairwise_distances,
+                            RngState, _sq_distances, dedupe, pairwise_distances,
                             read_point_csv, sample_gaussian,
                             symmetric_difference_count,
                             union_sets, write_point_csv)
@@ -131,6 +131,15 @@ def test_pairwise_distances_matches_norms():
     assert d[0, 2] == pytest.approx(10.0, abs=1e-12)
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)
+
+
+def test_sq_distances_small_sets():
+    # squareform alone would turn zero rows into [[0.]]
+    assert _sq_distances(np.empty((0, 3))).shape == (0, 0)
+    assert _sq_distances(np.array([[1.5, -2.0]])).tolist() == [[0.0]]
+    two = np.array([[0.0, 0.0], [3.0, 4.0]])
+    assert _sq_distances(two).tolist() == [[0.0, 25.0], [25.0, 0.0]]
+    assert pairwise_distances(PointSet([[7.0]])).tolist() == [[0.0]]
 
 
 def test_dedupe_exact():

@@ -279,20 +279,6 @@ def test_bound_check_1d_and_separated():
 
 
 @pytest.fixture
-def cdist_calls(monkeypatch):
-    """The row count of each union distance matrix built, in call order."""
-    calls = []
-    real = magmetric.distance.cdist
-
-    def counting(a, b):
-        calls.append(len(a))
-        return real(a, b)
-
-    monkeypatch.setattr(magmetric.distance, "cdist", counting)
-    return calls
-
-
-@pytest.fixture
 def separation_checks(monkeypatch):
     """One entry per separation check run on the training path."""
     calls = []
@@ -310,37 +296,37 @@ def _fresh(p: PointSet) -> PointSet:
     return PointSet(p.coords)
 
 
-def test_scales_share_one_geometry(cdist_calls):
+def test_scales_share_one_geometry(sq_calls):
     x, y = _pair(21, n=20, dim=5)
     scales = (0.01, 0.1, 0.5, 2.0)
     reports = [mag_distance(x, y, t) for t in scales]
-    assert len(cdist_calls) == 1
+    assert len(sq_calls) == 1
     for t, rep in zip(scales, reports):
         assert rep == mag_distance(_fresh(x), _fresh(y), t)
-    assert len(cdist_calls) == 1 + len(scales)
+    assert len(sq_calls) == 1 + len(scales)
 
 
-def test_multiscale_loss_builds_one_geometry(cdist_calls, separation_checks):
+def test_multiscale_loss_builds_one_geometry(sq_calls, separation_checks):
     x, y = _pair(22, n=12, dim=3)
     scales = ScaleSchedule.parse("0.5@1,1.0@2,1.5@3").active(3)
     loss, grad = multiscale_loss(x, y, scales)
-    assert len(cdist_calls) == len(separation_checks) == 1
+    assert len(sq_calls) == len(separation_checks) == 1
     # every scale and form on the stored geometry, then on fresh objects
     stored = [_value_and_gradient(x, y, t, normalized)
               for t in scales for normalized in (True, False)]
-    assert len(cdist_calls) == len(separation_checks) == 1
+    assert len(sq_calls) == len(separation_checks) == 1
     fresh = [_value_and_gradient(_fresh(x), _fresh(y), t, normalized)
              for t in scales for normalized in (True, False)]
-    assert len(cdist_calls) == len(separation_checks) == 1 + len(fresh)
+    assert len(sq_calls) == len(separation_checks) == 1 + len(fresh)
     for (val, g), (fresh_val, fresh_g) in zip(stored, fresh):
         assert val == fresh_val and g.tobytes() == fresh_g.tobytes()
     # fresh objects build their own geometry and give the same bytes
     fresh_loss, fresh_grad = multiscale_loss(_fresh(x), _fresh(y), scales)
-    assert len(cdist_calls) == len(separation_checks) == 2 + len(fresh)
+    assert len(sq_calls) == len(separation_checks) == 2 + len(fresh)
     assert fresh_loss == loss and fresh_grad.tobytes() == grad.tobytes()
 
 
-def test_train_builds_one_geometry_per_attempt(cdist_calls, monkeypatch):
+def test_train_builds_one_geometry_per_attempt(sq_calls, monkeypatch):
     pairs = []
     real = magmetric.maggn._value_and_gradient
 
@@ -357,25 +343,25 @@ def test_train_builds_one_geometry_per_attempt(cdist_calls, monkeypatch):
     assert [(r.active_scales, r.error) for r in log.rows] == \
         [(1, ""), (2, ""), (3, "")]
     assert len(pairs) == 6
-    assert len(cdist_calls) == len({(id(x), id(y)) for x, y in pairs}) == 3
+    assert len(sq_calls) == len({(id(x), id(y)) for x, y in pairs}) == 3
 
 
 def test_geometry_is_read_only():
     x, y = _pair(24, n=6, dim=2)
-    union, dists, x_rows, y_rows, x_block, y_block = _union_geometry(x, y)
+    union, sq, dists, x_rows, y_rows, x_block, y_block = _union_geometry(x, y)
     inv_u, inv_y = _gradient_geometry(x, y)
-    for arr in (union, dists, x_rows, y_rows, *x_block, *y_block, inv_u, inv_y):
+    for arr in (union, sq, dists, x_rows, y_rows, *x_block, *y_block, inv_u, inv_y):
         assert arr.size
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = arr.flat[0]
 
 
-def test_geometry_recomputed_after_errors(cdist_calls, separation_checks):
+def test_geometry_recomputed_after_errors(sq_calls, separation_checks):
     x = PointSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     y = PointSet([[2.0, 2.0], [3.0, 1.0]])
     clash = PointSet([[2.0, 2.0], [1.0, 0.0]])  # its second point is x's second
     want = mag_distance(_fresh(x), _fresh(y), 0.9)
-    n_calls = len(cdist_calls)
+    n_calls = len(sq_calls)
     assert mag_distance(x, y, 0.9) == want
     with pytest.raises(DimensionMismatch):
         mag_distance(x, PointSet([[1.0, 2.0, 3.0]]), 0.9)
@@ -388,7 +374,7 @@ def test_geometry_recomputed_after_errors(cdist_calls, separation_checks):
     assert mag_distance(x, clash, 0.9) == mag_distance(_fresh(x), _fresh(clash), 0.9)
     assert mag_distance(x, y, 0.9) == want
     # x,y  x,y(after mismatch)  x,clash  fresh clash  x,y
-    assert len(cdist_calls) - n_calls == 5
+    assert len(sq_calls) - n_calls == 5
 
 
 def test_each_thread_keeps_its_own_geometry():

@@ -194,19 +194,19 @@ def test_outlier2d_relative_change_rows():
             assert val == pytest.approx(abs(noisy - clean) / clean, rel=1e-12)
 
 
-def test_outlier2d_builds_one_geometry_per_pair(monkeypatch):
+def test_outlier2d_builds_one_geometry_per_pair(sq_calls):
     # the clean pair runs at all of its scales, then the noisy pair, so the
     # stored union geometry is built once for each (|B u Y| = 80, |B u Y*| = 90)
-    calls = []
-    real = magmetric.distance.cdist
-
-    def counting(a, b):
-        calls.append(len(a))
-        return real(a, b)
-
-    monkeypatch.setattr(magmetric.distance, "cdist", counting)
     run_study("outlier2d", config_from_dict("outlier2d", {}, trials=1, n_per_set=40))
-    assert calls == [80, 90]
+    assert sq_calls == [80, 90]
+
+
+def test_highdim_builds_one_geometry_per_cell(sq_calls):
+    # both MMD bandwidths and the four magnitude rows of a cell read one
+    # squared-distance matrix of its union (|X u Y| = 40); one cell per dim
+    rows = run_study("highdim", config_from_dict("highdim", {}, trials=1, n_per_set=20))
+    assert len(rows) == 5 * 7
+    assert sq_calls == [40] * 5
 
 
 def test_summarize_shape_and_stats(tmp_path):

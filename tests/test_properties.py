@@ -3,9 +3,11 @@ duplicates and signed zeros (hypothesis, derandomized)."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
-from magmetric.core import PointSet, RngState, sample_gaussian
-from magmetric.distance import _value_and_gradient, mag_distance
+from magmetric.baselines import mmd_squared
+from magmetric.core import PointSet, RngState, pairwise_distances, sample_gaussian
+from magmetric.distance import _union_geometry, _value_and_gradient, mag_distance
 from magmetric.magnitude import magnitude
 
 SCALES = st.sampled_from((0.1, 0.7, 3.0))
@@ -18,18 +20,22 @@ def _flip_zeros(row):
 
 
 @st.composite
-def pairs(draw, training=False):
+def pairs(draw, training=False, wide=False):
     """(X, Y, X', Y'): X' and Y' are X and Y without their injected copies.
 
     Y' may share points with X'. Copies repeat a set's own points, with the
     sign of zero coordinates flipped. With training=True, Y' shares nothing
     with X' and only X gets copies, so Y stays duplicate-free and apart
-    from X.
+    from X. With wide=True, sets have up to 40 points in up to 300
+    dimensions, scaled by 1e-3 to 1e3.
     """
-    dim = draw(st.integers(1, 4))
-    n_x, n_y = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    dim = draw(st.integers(1, 300 if wide else 4))
+    n_max = 40 if wide else 7
+    n_x, n_y = draw(st.integers(1, n_max)), draw(st.integers(1, n_max))
     pts = sample_gaussian(RngState(draw(st.integers(0, 2**32))), n_x + n_y, dim)
     pts = pts.coords.copy()
+    if wide:
+        pts *= 10.0 ** draw(st.floats(-3.0, 3.0))
     for i in draw(st.lists(st.integers(0, n_x + n_y - 1), max_size=4)):
         pts[i, 0] = 0.0
     base_x, base_y = pts[:n_x], pts[n_x:]
@@ -81,3 +87,38 @@ def test_training_value_is_mag_distance(sets, t):
     rep = mag_distance(x, y, t)
     assert _bits(_value_and_gradient(x, y, t, True)[0]) == _bits(rep.normalized)
     assert _bits(_value_and_gradient(x, y, t, False)[0]) == _bits(rep.distance)
+
+
+def _sq_cdist(a, b):
+    return cdist(a, b, "sqeuclidean")
+
+
+@SETTINGS
+@given(pairs(wide=True))
+def test_distance_matrices_are_cdist_bitwise(sets):
+    x, y, _, _ = sets
+    union, sq, dists, x_rows, y_rows, _, _ = _union_geometry(x, y)
+    assert sq.tobytes() == _sq_cdist(union, union).tobytes()
+    assert dists.tobytes() == cdist(union, union).tobytes()
+    # gathered through the union rows, duplicates and signed zeros included
+    both = np.concatenate([x.coords, y.coords])
+    rows = np.concatenate([x_rows, y_rows])
+    assert sq[np.ix_(rows, rows)].tobytes() == _sq_cdist(both, both).tobytes()
+    for s in (x, y):
+        assert pairwise_distances(s).tobytes() == cdist(s.coords, s.coords).tobytes()
+
+
+@SETTINGS
+@given(pairs(wide=True), st.sampled_from((0.3, 1.0, 3.0)))
+def test_mmd_is_three_cdist_reference(sets, width):
+    x, y, _, _ = sets
+    xs, ys = x.coords, y.coords
+    sigma = width * (float(np.sqrt(_sq_cdist(xs, ys).max())) or 1.0)
+
+    def mean_gram(a, b):
+        return np.exp(-_sq_cdist(a, b) / (2.0 * sigma**2)).mean()
+
+    want = float(mean_gram(xs, xs) + mean_gram(ys, ys) - 2.0 * mean_gram(xs, ys))
+    assert _bits(mmd_squared(x, y, sigma)) == _bits(want)
+    assert mmd_squared(x, x, sigma) == 0.0
+    assert mmd_squared(y, y, sigma) == 0.0
