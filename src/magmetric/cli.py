@@ -20,7 +20,7 @@ from .distance import (ScaleSchedule, bound_check, cross_polytope_counterexample
 from .experiments import (config_as_dict, config_from_dict, run_study,
                           study_names, summary_path, write_rows, write_summary)
 from .magnitude import (DEFAULT_SUPPORT_TOL, CholeskyFailure, CoincidentPoints,
-                        _geometry, _magnitude_at)
+                        magnitude)
 from .maggn import (TrainConfig, init_generator, load_checkpoint, sample,
                     save_checkpoint, train)
 
@@ -87,10 +87,10 @@ STUDY_FLAGS = {
 
 def cmd_magnitude(args) -> None:
     _echo(args, seed=args.seed)
-    geometry = _geometry(read_point_csv(args.input, skip_header=args.skip_header))
+    points = read_point_csv(args.input, skip_header=args.skip_header)
     results = []
-    for t in args.t:  # every scale solves on the one geometry
-        res = _magnitude_at(geometry, t)
+    for t in args.t:  # every scale solves on the one memoised geometry
+        res = magnitude(points, t)
         weights = res.weighting.weights
         results.append({"t": t, "magnitude": res.magnitude, "residual": res.residual,
                         "nonneg_weighting": bool(weights.size == 0 or
@@ -178,9 +178,10 @@ def cmd_maggn_train(args) -> None:
                          batch_real=args.batch_real, batch_gen=args.batch_gen,
                          learning_rate=args.lr, seed=args.seed)
     data = read_point_csv(args.data, skip_header=args.skip_header)
+    gen = init_generator(RngState(args.seed).derive(0), args.layer_dims)
+    if data.dim != gen.data_dim:  # refused before --out is created
+        raise DimensionMismatch(f"data dim {data.dim} vs generator output {gen.data_dim}")
     os.makedirs(args.out, exist_ok=True)
-    rng = RngState(args.seed)
-    gen = init_generator(rng.derive(0), args.layer_dims)
     gen, log = train(gen, data, config)
     ckpt = os.path.join(args.out, "checkpoint.json")
     log_path = os.path.join(args.out, "train_log.csv")

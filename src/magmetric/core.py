@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 
 import numpy as np
@@ -178,28 +179,30 @@ def _unique_rows(coords: np.ndarray):
     return c[first], first, inverse.ravel()
 
 
-def _pair_memo(fn):
-    """Reuse fn(X, Y)'s result while it is called on the same two PointSets.
+def _identity_memo(fn):
+    """Reuse fn(*sets)'s result while it is called on the same PointSets.
 
-    Each thread keeps its last (X, Y, result). A PointSet is immutable, so a
-    call on the same two objects (by identity) gets the stored result. The slot
-    holds strong references, so neither id can be reused while it is stored,
-    and it is emptied before a new result is computed, so at most one result
-    per thread is alive. Its arrays, also those in tuples, are made read-only.
+    Each thread keeps its last (sets, result). A PointSet is immutable, so a
+    call on the same objects (by identity) gets the stored result. The slot
+    holds strong references, so no id can be reused while it is stored, and
+    it is emptied before a new result is computed, so at most one result per
+    thread is alive. Its arrays, also those in tuples, are made read-only;
+    other items (a PointSet) are already immutable.
     """
     local = threading.local()
 
     @functools.wraps(fn)
-    def memo(X, Y):
+    def memo(*sets):
         last = getattr(local, "last", None)
-        if last is not None and last[0] is X and last[1] is Y:
-            return last[2]
+        if last is not None and all(map(operator.is_, last[0], sets)):
+            return last[1]
         local.last = None
-        result = fn(X, Y)
+        result = fn(*sets)
         for item in result:
             for arr in item if isinstance(item, tuple) else (item,):
-                arr.setflags(write=False)
-        local.last = (X, Y, result)
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
+        local.last = (sets, result)
         return result
     return memo
 

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.spatial.distance import cdist  # noqa: F401 - bound for bench/tracer.py
 
-from .core import (PointSet, _pair_memo, _require_same_dim, _sq_distances,
+from .core import (PointSet, _identity_memo, _require_same_dim, _sq_distances,
                    _unique_rows, symmetric_difference_count, union_sets)
 from .core import dedupe  # noqa: F401 - bound for bench/tracer.py, unused here
 from .magnitude import (DEFAULT_EPS_SEP, DEFAULT_SUPPORT_TOL, CholeskyFailure,
@@ -111,7 +111,7 @@ class CrossPolytopeResult(NamedTuple):
     dense_gap: Optional[float] = None
 
 
-@_pair_memo
+@_identity_memo
 def _union_geometry(X: PointSet, Y: PointSet):
     """(union, sq, dists, x_rows, y_rows, x_block, y_block): the exact union
     X u Y in canonical order (only the point set decides it, so a swap changes
@@ -132,20 +132,19 @@ def _first_rows(rows: np.ndarray) -> np.ndarray:
     return rows[np.sort(first)]
 
 
-def _weights(zeta: np.ndarray, label: str) -> np.ndarray:
-    """Weighting on a similarity matrix, a failed solve named by `label`."""
-    if zeta.size == 0:
-        return np.zeros(0)
+def _weights(zeta: np.ndarray, label: str) -> tuple[np.ndarray, float]:
+    """(weighting, its sum) on a similarity matrix, a failed solve named by `label`."""
     try:
-        return _solve_ones(zeta, False)[0]
+        w, _, _, total = _solve_ones(zeta)
     except CholeskyFailure as exc:
         raise CholeskyFailure(f"{label} solve failed: {exc}", pivot=exc.pivot,
                               condition_hint=exc.condition_hint) from None
+    return w, total
 
 
 def _union_weights(dists, x_block, y_block, t):
-    """zeta of X u Y and the weightings of X u Y, X and Y on its blocks; X and Y
-    in first-occurrence order, so their sums are bitwise magnitude(., t)."""
+    """zeta of X u Y and the (weighting, sum) of X u Y, X and Y on its blocks;
+    X and Y in first-occurrence order, so their sums are bitwise magnitude(., t)."""
     zeta = np.exp(-t * dists)
     return (zeta, _weights(zeta, "union"), _weights(zeta[x_block], "x"),
             _weights(zeta[y_block], "y"))
@@ -166,8 +165,8 @@ def mag_distance(X: PointSet, Y: PointSet, t: float) -> DistanceReport:
     """
     _require_scale(t)
     union, _, dists, _, _, x_block, y_block = _union_geometry(X, Y)
-    _, w_u, w_x, w_y = _union_weights(dists, x_block, y_block, t)
-    mag_u, mag_x, mag_y = float(w_u.sum()), float(w_x.sum()), float(w_y.sum())
+    _, (w_u, mag_u), (w_x, mag_x), (w_y, mag_y) = _union_weights(
+        dists, x_block, y_block, t)
     distance, normalized = _combine(mag_u, mag_x, mag_y)
     nonneg = tuple(bool(w.size == 0 or w.min() >= -DEFAULT_SUPPORT_TOL)
                    for w in (w_x, w_y, w_u))
@@ -197,7 +196,7 @@ def _separation_check(dists: np.ndarray, x_rows: np.ndarray, y_rows: np.ndarray)
         raise CoincidentPoints(n_x + a, j, d, message=msg + ", below the separation floor")
 
 
-@_pair_memo
+@_identity_memo
 def _gradient_geometry(X: PointSet, Y: PointSet):
     """(inv_u, inv_y): 1 / d from each point of Y to X u Y and to Y, 0 in its
     own column. A pair that fails the separation check stores nothing; one
@@ -218,9 +217,9 @@ def _value_and_gradient(X: PointSet, Y: PointSet, t: float, normalized: bool):
     _require_scale(t)
     union, _, dists, _, y_rows, x_block, y_block = _union_geometry(X, Y)
     inv_u, inv_y = _gradient_geometry(X, Y)
-    zeta, w_u, w_x, w_y = _union_weights(dists, x_block, y_block, t)
-    mag_u = float(w_u.sum())
-    dist, value = _combine(mag_u, float(w_x.sum()), float(w_y.sum()))
+    zeta, (w_u, mag_u), (_, mag_x), (w_y, mag_y) = _union_weights(
+        dists, x_block, y_block, t)
+    dist, value = _combine(mag_u, mag_x, mag_y)
     grad_u = _gradient_rows(union, zeta, inv_u, w_u, t, y_rows)
     # Y is duplicate-free, so w_y is ordered like y_rows and Y's own rows
     grad_y = _gradient_rows(Y.coords, zeta[y_block], inv_y, w_y, t, np.arange(len(Y)))

@@ -261,7 +261,7 @@ def load_checkpoint(path) -> Generator:
     if not isinstance(payload, dict):
         raise ValueError("checkpoint must hold a JSON object")
     version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_VERSION:  # not True, not 1.0
         raise ValueError(f"unsupported checkpoint version {version!r}")
     dims, layers = payload.get("layer_dims"), payload.get("layers")
     if not _is_list_of(dims, int) or not isinstance(layers, list):

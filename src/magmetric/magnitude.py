@@ -3,7 +3,9 @@
 The magnitude of a point set at scale t is the sum of the weighting vector w
 solving zeta w = 1, where zeta is the exp(-t * distance) similarity matrix of
 the exactly-deduplicated points. All solves go through one Cholesky path with
-a fixed residual gate; nothing here ever forms an explicit inverse.
+a fixed residual gate; nothing here ever forms an explicit inverse. The t-free
+geometry is memoised per PointSet, so a sweep over scales, or a gradient after
+a magnitude, dedupes and builds the distance matrix once.
 """
 from __future__ import annotations
 
@@ -14,12 +16,11 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .core import PointSet, dedupe, pairwise_distances
+from .core import PointSet, _identity_memo, dedupe, pairwise_distances
 
 SOLVER_RESIDUAL_TOL = 1e-8
 DEFAULT_EPS_SEP = 1e-9       # below this separation, distance gradients blow up
 DEFAULT_SUPPORT_TOL = 1e-10  # a weight w >= -tol counts as nonnegative
-JITTER_COEFF = 1e-12         # opt-in ridge is JITTER_COEFF * n on the diagonal
 
 
 class CholeskyFailure(ArithmeticError):
@@ -54,7 +55,6 @@ class WeightingVector:
     multiplicity: np.ndarray  # group sizes, parallel to points
     residual: float           # inf-norm of zeta w - 1 after refinement
     condition_hint: float     # (max diag L / min diag L)^2 from the factor
-    jitter: float = 0.0       # diagonal ridge actually applied (0 when off)
 
 
 @dataclass(frozen=True)
@@ -81,19 +81,17 @@ def _require_scale(t, name: str = "scale t") -> None:
         raise ValueError(f"{name} must be finite and positive")
 
 
-def _solve_ones(zeta: np.ndarray, jitter: bool):
-    """Cholesky-solve `mat w = 1` where mat is zeta plus optional ridge.
+def _solve_ones(zeta: np.ndarray):
+    """Cholesky-solve zeta w = 1.
 
     One iterative-refinement pass always runs (cheap, deterministic), then
-    the residual gate applies. Returns (w, residual, condition_hint, ridge).
+    the residual gate applies. Returns (w, residual, condition_hint, sum of
+    w); a 0 x 0 zeta (the empty set) gives (zeros(0), 0.0, 1.0, 0.0).
     """
     n = zeta.shape[0]
-    applied = 0.0
-    mat = zeta
-    if jitter:
-        applied = JITTER_COEFF * n
-        mat = zeta + applied * np.eye(n)
-    factor, info = dpotrf(mat, lower=1)
+    if n == 0:
+        return np.zeros(0), 0.0, 1.0, 0.0
+    factor, info = dpotrf(zeta, lower=1)
     if info > 0:  # no factor, so no condition estimate either
         raise CholeskyFailure(
             f"similarity matrix is not positive definite at pivot {info} of {n}; "
@@ -105,39 +103,28 @@ def _solve_ones(zeta: np.ndarray, jitter: bool):
     hint = float((diag.max() / diag.min()) ** 2)
     ones = np.ones((n, 1))
     w, _ = dpotrs(factor, ones, lower=1)
-    resid_vec = ones - mat @ w
+    resid_vec = ones - zeta @ w
     dw, _ = dpotrs(factor, resid_vec, lower=1)
     w = w + dw
-    residual = float(np.abs(mat @ w - ones).max())
+    residual = float(np.abs(zeta @ w - ones).max())
     if not residual <= SOLVER_RESIDUAL_TOL:  # a NaN residual fails too
         raise CholeskyFailure(
             f"solve residual {residual:.3e} exceeds {SOLVER_RESIDUAL_TOL:.0e} "
             f"(condition hint {hint:.3e})", condition_hint=hint)
-    return w.ravel(), residual, hint, applied
+    w = w.ravel()
+    return w, residual, hint, float(w.sum())
 
 
+@_identity_memo
 def _geometry(X: PointSet):
     """(reps, multiplicity, dists): X's distinct points in first-occurrence
     order, their group sizes and their distance matrix. None of it depends
-    on t, so a sweep over scales builds it once."""
+    on t, so consecutive calls on the same PointSet build it once."""
     reps, mult = dedupe(X)
     return reps, mult, (pairwise_distances(reps) if len(reps) else np.zeros((0, 0)))
 
 
-def _magnitude_at(geometry, t: float, jitter: bool = False) -> MagnitudeResult:
-    """Solve zeta = exp(-t * dists) on a geometry; the empty set has magnitude 0."""
-    _require_scale(t)
-    reps, mult, dists = geometry
-    if len(reps) == 0:
-        w, residual, hint, applied = np.zeros(0), 0.0, 1.0, 0.0
-    else:
-        w, residual, hint, applied = _solve_ones(np.exp(-t * dists), jitter)
-    wv = WeightingVector(points=reps, weights=w, scale=float(t), multiplicity=mult,
-                         residual=residual, condition_hint=hint, jitter=applied)
-    return MagnitudeResult(float(w.sum()), wv, residual, hint)
-
-
-def weighting(X: PointSet, t: float, jitter: bool = False) -> WeightingVector:
+def weighting(X: PointSet, t: float) -> WeightingVector:
     """Magnitude weighting of X at scale t.
 
     X is deduplicated exactly first; weights live on the representatives
@@ -145,12 +132,17 @@ def weighting(X: PointSet, t: float, jitter: bool = False) -> WeightingVector:
     """
     if len(X) == 0:
         raise ValueError("weighting needs a nonempty set")
-    return magnitude(X, t, jitter).weighting
+    return magnitude(X, t).weighting
 
 
-def magnitude(X: PointSet, t: float, jitter: bool = False) -> MagnitudeResult:
+def magnitude(X: PointSet, t: float) -> MagnitudeResult:
     """Sum of the weighting entries; 0 for the empty set, 1 for singletons."""
-    return _magnitude_at(_geometry(X), t, jitter)
+    _require_scale(t)
+    reps, mult, dists = _geometry(X)
+    w, residual, hint, total = _solve_ones(np.exp(-t * dists))
+    wv = WeightingVector(points=reps, weights=w, scale=float(t), multiplicity=mult,
+                         residual=residual, condition_hint=hint)
+    return MagnitudeResult(total, wv, residual, hint)
 
 
 def magnitude_function(X: PointSet, ts) -> list[ScalePoint]:
@@ -159,11 +151,10 @@ def magnitude_function(X: PointSet, ts) -> list[ScalePoint]:
     ts = list(ts)
     if not ts:
         raise ValueError("ts must be nonempty")
-    geometry = _geometry(X)
     out = []
     for t in ts:
         try:
-            res = _magnitude_at(geometry, t)
+            res = magnitude(X, t)
             out.append(ScalePoint(float(t), res.magnitude, res))
         except (CholeskyFailure, ValueError) as exc:
             out.append(ScalePoint(float(t), float("nan"), None, error=str(exc)))
@@ -206,6 +197,6 @@ def magnitude_gradient(X: PointSet, t: float) -> np.ndarray:
     if masked.flat[k] < DEFAULT_EPS_SEP:
         raise CoincidentPoints(k // n, k % n, float(masked.flat[k]))
     zeta = np.exp(-t * dists)
-    w, _, _, _ = _solve_ones(zeta, False)
+    w = _solve_ones(zeta)[0]
     rows = np.arange(n)
     return _gradient_rows(reps.coords, zeta, _inverse_distances(dists, rows), w, t, rows)

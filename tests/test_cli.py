@@ -272,9 +272,9 @@ def test_bound_check_makes_one_solve_per_scale(tmp_path, capsys, monkeypatch):
     sizes = []
     real = module._solve_ones
 
-    def counting(zeta, jitter):
+    def counting(zeta):
         sizes.append(zeta.shape[0])
-        return real(zeta, jitter)
+        return real(zeta)
 
     monkeypatch.setattr(module, "_solve_ones", counting)
     code, out, _ = run_cli(capsys, "distance", "--x", x, "--y", y, "--t", "0.5",
@@ -381,6 +381,23 @@ def test_maggn_train_bad_schedule(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("layer_dims,code,message", [
+    ("2", 2, "at least input and output sizes"),
+    ("2,0,2", 2, "layer dims must be positive"),
+    ("2,32,3", 4, "data dim 2 vs generator output 3"),
+])
+def test_maggn_train_bad_layer_dims(tmp_path, capsys, layer_dims, code, message):
+    # a generator that cannot train on the data is refused before --out exists
+    data_csv = str(tmp_path / "d.csv")
+    write_point_csv(data_csv, sample_gaussian(RngState(2), 10, 2))
+    got, _, err = run_cli(capsys, "maggn", "train", "--data", data_csv,
+                          "--schedule", "0.5@1", "--epochs", "2",
+                          "--layer-dims", layer_dims, "--out", str(tmp_path / "r"))
+    assert got == code
+    assert message in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_maggn_sample_without_checkpoint(tmp_path, capsys):
     code, _, err = run_cli(capsys, "maggn", "sample", "--out",
                            str(tmp_path / "empty"))
@@ -452,6 +469,11 @@ def test_text_and_json_reports_agree(csvs, capsys, tmp_path):
                 {"weights": [], "biases": [1.5, -2.0]}]},
     {"format_version": 1, "layer_dims": [2, 2],
      "layers": [{"weights": [0.0, 0.0, 0.0, float("inf")], "biases": [0.0, 0.0]}]},
+    # True == 1 and 1.0 == 1 in Python, but neither is the integer version
+    {"format_version": True, "layer_dims": [2, 2],
+     "layers": [{"weights": [0.0] * 4, "biases": [0.0, 0.0]}]},
+    {"format_version": 1.0, "layer_dims": [2, 2],
+     "layers": [{"weights": [0.0] * 4, "biases": [0.0, 0.0]}]},
 ])
 def test_malformed_checkpoint_exits_2(tmp_path, capsys, payload):
     (tmp_path / "checkpoint.json").write_text(json.dumps(payload))

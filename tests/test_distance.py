@@ -377,16 +377,27 @@ def test_geometry_recomputed_after_errors(sq_calls, separation_checks):
     assert len(sq_calls) - n_calls == 5
 
 
-def test_each_thread_keeps_its_own_geometry():
+def _distance_of(x, y):
+    return mag_distance(x, y, 0.7)
+
+
+def _magnitude_of(x, _):
+    res = magnitude(x, 0.7)
+    return res.magnitude, res.weighting.weights.tobytes()
+
+
+@pytest.mark.parametrize("compute", [_distance_of, _magnitude_of],
+                         ids=["mag_distance", "magnitude"])
+def test_each_thread_keeps_its_own_geometry(compute):
     pairs = [_pair(30 + k, n=8, dim=3) for k in range(6)]
-    want = [mag_distance(_fresh(x), _fresh(y), 0.7) for x, y in pairs]
+    want = [compute(_fresh(x), _fresh(y)) for x, y in pairs]
     wrong = []
 
     def worker(k):
         x, y = pairs[k]
         try:
             for _ in range(200):
-                if mag_distance(x, y, 0.7) != want[k]:
+                if compute(x, y) != want[k]:
                     wrong.append(k)
         except Exception as exc:  # a thread's exception would be lost
             wrong.append(exc)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from magmetric.core import PointSet, RngState, sample_gaussian
+from magmetric.core import PointSet, RngState, pairwise_distances, sample_gaussian
 from magmetric.magnitude import (CholeskyFailure, CoincidentPoints, _solve_ones,
                                  magnitude, magnitude_function, magnitude_gradient,
                                  weighting)
@@ -38,7 +38,9 @@ def test_empty_and_singleton():
     wv = res.weighting
     assert wv.points is empty and wv.weights.shape == (0,)
     assert wv.multiplicity.shape == (0,) and wv.multiplicity.dtype == np.intp
-    assert (wv.scale, wv.residual, wv.condition_hint, wv.jitter) == (0.7, 0.0, 1.0, 0.0)
+    assert (wv.scale, wv.residual, wv.condition_hint) == (0.7, 0.0, 1.0)
+    w, residual, hint, total = _solve_ones(np.zeros((0, 0)))  # the solve itself
+    assert w.shape == (0,) and (residual, hint, total) == (0.0, 1.0, 0.0)
     assert magnitude_gradient(empty, 0.7).shape == (0, 3)
     with pytest.raises(ValueError, match="nonempty"):
         weighting(empty, 0.7)
@@ -71,7 +73,7 @@ def test_scale_must_be_finite(t):
 def test_nan_matrix_fails_the_residual_gate():
     # LAPACK's factor passes NaN pivots through, so the gate must catch NaN
     with pytest.raises(CholeskyFailure, match="residual"):
-        _solve_ones(np.full((2, 2), math.nan), jitter=False)
+        _solve_ones(np.full((2, 2), math.nan))
 
 
 def test_duplicate_invariance_exact():
@@ -179,19 +181,47 @@ def test_cholesky_failure_reports_pivot():
     # factor fails at a pivot and, with no factor, has no condition estimate
     zeta = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
     with pytest.raises(CholeskyFailure) as err:
-        _solve_ones(zeta, jitter=False)
+        _solve_ones(zeta)
     assert err.value.pivot == 2
     assert "pivot" in str(err.value)
     assert err.value.condition_hint == math.inf
     assert "condition hint" not in str(err.value)
 
 
-def test_jitter_opt_in_rescues_near_singular():
-    # nearly coincident points: plain solve may succeed with terrible
-    # conditioning or fail; jittered solve must return finite output
-    pts = PointSet([[0.0], [1e-13], [1.0]])
-    try:
-        res = magnitude(pts, 1.0, jitter=True)
-    except CholeskyFailure:
-        pytest.fail("jittered solve should not raise")
+def test_near_singular_solve_passes_the_gate():
+    # nearly coincident points: the plain solve is badly conditioned, and
+    # the residual gate is what vouches for its answer
+    res = magnitude(PointSet([[0.0], [1e-13], [1.0]]), 1.0)
     assert math.isfinite(res.magnitude)
+    assert res.residual <= MAGNITUDE.SOLVER_RESIDUAL_TOL
+    assert res.condition_hint > 1e12
+
+
+def test_solve_returns_the_weighting_sum():
+    pts = sample_gaussian(RngState(8), 9, 2)
+    w, _, _, total = _solve_ones(np.exp(-0.6 * pairwise_distances(pts)))
+    assert total == float(w.sum()) == magnitude(pts, 0.6).magnitude
+
+
+def test_magnitude_and_gradient_share_one_geometry(pdist_calls):
+    pts = sample_gaussian(RngState(6), 12, 2)
+    results = [magnitude(pts, t) for t in (0.3, 1.0, 2.5)]
+    grad = magnitude_gradient(pts, 1.0)
+    assert pdist_calls == [12]
+    # a copy of the set is a new object, so it builds its own geometry
+    copy = PointSet(pts.coords)
+    again = magnitude(copy, 1.0)
+    assert again.magnitude == results[1].magnitude
+    assert again.weighting.weights.tobytes() == results[1].weighting.weights.tobytes()
+    assert magnitude_gradient(copy, 1.0).tobytes() == grad.tobytes()
+    assert pdist_calls == [12, 12]
+
+
+def test_stored_geometry_is_read_only():
+    pts = PointSet(np.vstack([np.eye(3), np.eye(3)[:1]]))  # one duplicate
+    wv = magnitude(pts, 0.8).weighting
+    dists = MAGNITUDE._geometry(pts)[2]
+    assert wv.multiplicity.tolist() == [2, 1, 1]
+    for arr in (wv.multiplicity, dists):
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = arr.flat[0]
