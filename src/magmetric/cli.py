@@ -170,13 +170,17 @@ def cmd_experiment(args) -> None:
 
 def cmd_maggn_train(args) -> None:
     schedule = ScaleSchedule.parse(args.schedule)
+    config = TrainConfig(schedule=schedule, epochs=args.epochs,
+                         batch_real=args.batch_real, batch_gen=args.batch_gen,
+                         learning_rate=args.lr, seed=args.seed)
+    first_epoch = schedule.entries[0][1]
+    if first_epoch > args.epochs:  # every epoch would log 0 and train nothing
+        raise ValueError(f"schedule starts at epoch {first_epoch}, after "
+                         f"--epochs {args.epochs}: no scale would ever train")
     _echo(args, seed=args.seed)
     if args.epochs < schedule.last_epoch:
         print(f"warning: schedule entry at epoch {schedule.last_epoch} never "
               f"activates within --epochs {args.epochs}", file=sys.stderr)
-    config = TrainConfig(schedule=schedule, epochs=args.epochs,
-                         batch_real=args.batch_real, batch_gen=args.batch_gen,
-                         learning_rate=args.lr, seed=args.seed)
     data = read_point_csv(args.data, skip_header=args.skip_header)
     gen = init_generator(RngState(args.seed).derive(0), args.layer_dims)
     if data.dim != gen.data_dim:  # refused before --out is created

@@ -2,12 +2,14 @@
 
 The distance at scale t is 2*Mag(X u Y) - Mag(X) - Mag(Y); the normalized
 variant divides by Mag(X u Y). mag_distance and the training gradient share
-one core: one distance matrix and one zeta for the union, in a canonical row
-order so that swapping the arguments returns bit-identical numbers, with
-Mag(X) and Mag(Y) solved on principal blocks of that zeta. Only zeta and the
-solves depend on t: consecutive calls on the same two PointSets share one
-squared-distance matrix (which mmd_squared reads too) and its square root,
-and the gradient's separation check and inverse distances.
+one core: one squared-distance matrix and one zeta for the union, in a
+canonical row order so that swapping the arguments returns bit-identical
+numbers, with Mag(X) and Mag(Y) solved on principal blocks of that zeta. Only
+zeta and the solves depend on t: consecutive calls on the same two PointSets
+share the squared-distance matrix, the only n x n array stored (mmd_squared
+reads it too), and the gradient's separation check and inverse distances.
+Each scale builds zeta in one buffer from the matrix's square root, which is
+bitwise cdist.
 """
 from __future__ import annotations
 
@@ -113,17 +115,18 @@ class CrossPolytopeResult(NamedTuple):
 
 @_identity_memo
 def _union_geometry(X: PointSet, Y: PointSet):
-    """(union, sq, dists, x_rows, y_rows, x_block, y_block): the exact union
-    X u Y in canonical order (only the point set decides it, so a swap changes
-    nothing), its squared and plain distance matrices, each point's union row,
-    and np.ix_ of X's and Y's blocks. Read-only, and computed once for
-    consecutive calls on a pair."""
+    """(union, sq, x_rows, y_rows, x_block, y_block): the exact union X u Y in
+    canonical order (only the point set decides it, so a swap changes
+    nothing), its squared distance matrix, each point's union row, and np.ix_
+    of X's and Y's blocks. sq is the only n x n array held: np.sqrt(sq) is
+    bitwise cdist(union, union), so the plain distances are derived where
+    they are read. Read-only, and computed once for consecutive calls on a
+    pair."""
     _require_same_dim(X, Y)
     union, _, inverse = _unique_rows(np.concatenate([X.coords, Y.coords]))
     x_rows, y_rows = inverse[:len(X)], inverse[len(X):]
     blocks = [np.ix_(f, f) for f in (_first_rows(x_rows), _first_rows(y_rows))]
-    sq = _sq_distances(union)
-    return union, sq, np.sqrt(sq), x_rows, y_rows, *blocks
+    return union, _sq_distances(union), x_rows, y_rows, *blocks
 
 
 def _first_rows(rows: np.ndarray) -> np.ndarray:
@@ -142,10 +145,13 @@ def _weights(zeta: np.ndarray, label: str) -> tuple[np.ndarray, float]:
     return w, total
 
 
-def _union_weights(dists, x_block, y_block, t):
+def _union_weights(sq, x_block, y_block, t):
     """zeta of X u Y and the (weighting, sum) of X u Y, X and Y on its blocks;
-    X and Y in first-occurrence order, so their sums are bitwise magnitude(., t)."""
-    zeta = np.exp(-t * dists)
+    X and Y in first-occurrence order, so their sums are bitwise magnitude(., t).
+    zeta is built in one buffer, bitwise np.exp(-t * np.sqrt(sq))."""
+    zeta = np.sqrt(sq)
+    zeta *= -t
+    np.exp(zeta, out=zeta)
     return (zeta, _weights(zeta, "union"), _weights(zeta[x_block], "x"),
             _weights(zeta[y_block], "y"))
 
@@ -164,9 +170,9 @@ def mag_distance(X: PointSet, Y: PointSet, t: float) -> DistanceReport:
     bit-identical under argument swap.
     """
     _require_scale(t)
-    union, _, dists, _, _, x_block, y_block = _union_geometry(X, Y)
+    union, sq, _, _, x_block, y_block = _union_geometry(X, Y)
     _, (w_u, mag_u), (w_x, mag_x), (w_y, mag_y) = _union_weights(
-        dists, x_block, y_block, t)
+        sq, x_block, y_block, t)
     distance, normalized = _combine(mag_u, mag_x, mag_y)
     nonneg = tuple(bool(w.size == 0 or w.min() >= -DEFAULT_SUPPORT_TOL)
                    for w in (w_x, w_y, w_u))
@@ -200,8 +206,10 @@ def _separation_check(dists: np.ndarray, x_rows: np.ndarray, y_rows: np.ndarray)
 def _gradient_geometry(X: PointSet, Y: PointSet):
     """(inv_u, inv_y): 1 / d from each point of Y to X u Y and to Y, 0 in its
     own column. A pair that fails the separation check stores nothing; one
-    that passes has a duplicate-free Y, so y_block is np.ix_(y_rows, y_rows)."""
-    _, _, dists, x_rows, y_rows, _, y_block = _union_geometry(X, Y)
+    that passes has a duplicate-free Y, so y_block is np.ix_(y_rows, y_rows).
+    The plain distances live only while this runs."""
+    _, sq, x_rows, y_rows, _, y_block = _union_geometry(X, Y)
+    dists = np.sqrt(sq)
     _separation_check(dists, x_rows, y_rows)
     return (_inverse_distances(dists, y_rows),
             _inverse_distances(dists[y_block], np.arange(len(Y))))
@@ -215,10 +223,10 @@ def _value_and_gradient(X: PointSet, Y: PointSet, t: float, normalized: bool):
     is bitwise mag_distance(X, Y, t).distance, or .normalized.
     """
     _require_scale(t)
-    union, _, dists, _, y_rows, x_block, y_block = _union_geometry(X, Y)
+    union, sq, _, y_rows, x_block, y_block = _union_geometry(X, Y)
     inv_u, inv_y = _gradient_geometry(X, Y)
     zeta, (w_u, mag_u), (_, mag_x), (w_y, mag_y) = _union_weights(
-        dists, x_block, y_block, t)
+        sq, x_block, y_block, t)
     dist, value = _combine(mag_u, mag_x, mag_y)
     grad_u = _gradient_rows(union, zeta, inv_u, w_u, t, y_rows)
     # Y is duplicate-free, so w_y is ordered like y_rows and Y's own rows
@@ -269,7 +277,11 @@ def cross_polytope_counterexample(dim: int, t: float,
     # vertex row sum of zeta(X); dim=1 has no sqrt(2) pairs, (m-2)=0 handles it
     s = 1.0 + a + (m - 2) * b
     mag_x = m / s
-    w_vertex = (1.0 - c) / (s - m * c * c)
+    # 1 - c and s - m*c^2 = (1 - c^2) + (m-2)*(b - c^2) in forms that do not
+    # cancel to 0 at small t; b - c^2 = b * (1 - exp(-(2 - sqrt 2) t)) stays
+    # finite at large t, where c^2 underflows
+    w_vertex = -math.expm1(-t) / (
+        -math.expm1(-2.0 * t) - (m - 2) * b * math.expm1((math.sqrt(2.0) - 2.0) * t))
     w_origin = 1.0 - m * c * w_vertex
     mag_u = m * w_vertex + w_origin
     gap = mag_u - mag_x

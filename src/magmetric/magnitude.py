@@ -139,7 +139,9 @@ def magnitude(X: PointSet, t: float) -> MagnitudeResult:
     """Sum of the weighting entries; 0 for the empty set, 1 for singletons."""
     _require_scale(t)
     reps, mult, dists = _geometry(X)
-    w, residual, hint, total = _solve_ones(np.exp(-t * dists))
+    zeta = -t * dists
+    np.exp(zeta, out=zeta)
+    w, residual, hint, total = _solve_ones(zeta)
     wv = WeightingVector(points=reps, weights=w, scale=float(t), multiplicity=mult,
                          residual=residual, condition_hint=hint)
     return MagnitudeResult(total, wv, residual, hint)
@@ -196,7 +198,8 @@ def magnitude_gradient(X: PointSet, t: float) -> np.ndarray:
     k = int(np.argmin(masked))
     if masked.flat[k] < DEFAULT_EPS_SEP:
         raise CoincidentPoints(k // n, k % n, float(masked.flat[k]))
-    zeta = np.exp(-t * dists)
+    zeta = -t * dists
+    np.exp(zeta, out=zeta)
     w = _solve_ones(zeta)[0]
     rows = np.arange(n)
     return _gradient_rows(reps.coords, zeta, _inverse_distances(dists, rows), w, t, rows)

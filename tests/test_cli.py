@@ -139,6 +139,18 @@ def test_non_finite_scale_exits_2(csvs, capsys, command, t):
     assert "nan" not in out
 
 
+@pytest.mark.parametrize("t", ["1e-300", "1e-20", "1e300"])
+@pytest.mark.parametrize("command", ["magnitude", "distance", "counterexample"])
+def test_extreme_scales_keep_the_exit_contract(csvs, capsys, command, t):
+    # an exception escaping main would reach the user as a traceback, exit 1
+    x, y = csvs
+    inputs = {"magnitude": ["--input", x], "distance": ["--x", x, "--y", y],
+              "counterexample": ["--dim", "3"]}[command]
+    code, _, err = run_cli(capsys, command, *inputs, "--t", t)
+    assert code in {0, 2, 3, 4}
+    assert (code == 0) == (err == "")
+
+
 @pytest.mark.parametrize("command,solve", [
     ("magnitude", "similarity matrix is not positive definite at pivot 2 of 2"),
     ("distance", "union solve failed: similarity matrix is not positive "
@@ -379,6 +391,34 @@ def test_maggn_train_bad_schedule(tmp_path, capsys):
     assert out == ""
     assert "must not repeat a value, got 0.5" in err
     assert not (tmp_path / "r").exists()
+    # a schedule that starts after the last epoch would train nothing
+    code, out, err = run_cli(capsys, "maggn", "train", "--data", data_csv,
+                             "--schedule", "0.5@400", "--epochs", "5", "--out",
+                             str(tmp_path / "r"))
+    assert code == 2
+    assert out == ""
+    assert "schedule starts at epoch 400, after --epochs 5" in err
+    assert not (tmp_path / "r").exists()
+    # a bad config is the only message: no warning about the schedule first
+    code, out, err = run_cli(capsys, "maggn", "train", "--data", data_csv,
+                             "--schedule", "0.5@1", "--epochs", "0", "--out",
+                             str(tmp_path / "r"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: epochs and batch sizes must be positive\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_maggn_train_warns_on_late_schedule_entry(tmp_path, capsys):
+    data_csv = str(tmp_path / "d.csv")
+    write_point_csv(data_csv, sample_gaussian(RngState(2), 10, 2))
+    code, _, err = run_cli(capsys, "maggn", "train", "--data", data_csv,
+                           "--schedule", "0.5@1,1.5@9", "--epochs", "2",
+                           "--batch-real", "8", "--batch-gen", "8",
+                           "--out", str(tmp_path / "r"))
+    assert code == 0
+    assert err == ("warning: schedule entry at epoch 9 never activates "
+                   "within --epochs 2\n")
 
 
 @pytest.mark.parametrize("layer_dims,code,message", [

@@ -250,6 +250,16 @@ def test_cross_polytope_reduced_matches_dense():
     assert tiny.slack >= 0  # no violation in one dimension
 
 
+@pytest.mark.parametrize("t", [1e-300, 1e-20, 1e-17, 1e-8, 1e300])
+@pytest.mark.parametrize("dim", [1, 2, 3, 500])
+def test_cross_polytope_extreme_scales(dim, t):
+    # the closed form must not cancel to 0 / 0 at small t nor reach 0 * inf at
+    # large t: gap -> 0 as t -> 0 and gap -> 1 as t -> inf
+    res = cross_polytope_counterexample(dim, t)
+    assert math.isfinite(res.gap) and res.slack == 2.0 * (1.0 - res.gap)
+    assert res.gap == pytest.approx(1.0 if t > 1.0 else 0.0, abs=1e-6)
+
+
 def test_cross_polytope_high_dim_violation():
     res = cross_polytope_counterexample(500, 5.0)
     assert res.gap == pytest.approx(7.18, abs=0.05)
@@ -348,12 +358,24 @@ def test_train_builds_one_geometry_per_attempt(sq_calls, monkeypatch):
 
 def test_geometry_is_read_only():
     x, y = _pair(24, n=6, dim=2)
-    union, sq, dists, x_rows, y_rows, x_block, y_block = _union_geometry(x, y)
+    union, sq, x_rows, y_rows, x_block, y_block = _union_geometry(x, y)
     inv_u, inv_y = _gradient_geometry(x, y)
-    for arr in (union, sq, dists, x_rows, y_rows, *x_block, *y_block, inv_u, inv_y):
+    for arr in (union, sq, x_rows, y_rows, *x_block, *y_block, inv_u, inv_y):
         assert arr.size
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = arr.flat[0]
+
+
+def test_pair_geometry_holds_one_square_matrix():
+    # only the squared distances are stored; the plain ones are derived per read
+    x, y = _pair(25, n=7, dim=3)
+    geometry = _union_geometry(x, y)
+    n = len(union_sets(x, y))
+    arrays = [a for item in geometry
+              for a in (item if isinstance(item, tuple) else (item,))]
+    square = [a for a in arrays if a.shape == (n, n)]
+    assert len(square) == 1 and square[0].dtype == np.float64
+    assert square[0] is geometry[1]
 
 
 def test_geometry_recomputed_after_errors(sq_calls, separation_checks):

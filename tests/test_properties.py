@@ -7,7 +7,8 @@ from scipy.spatial.distance import cdist
 
 from magmetric.baselines import mmd_squared
 from magmetric.core import PointSet, RngState, pairwise_distances, sample_gaussian
-from magmetric.distance import _union_geometry, _value_and_gradient, mag_distance
+from magmetric.distance import (_union_geometry, _union_weights, _value_and_gradient,
+                                mag_distance)
 from magmetric.magnitude import magnitude
 
 SCALES = st.sampled_from((0.1, 0.7, 3.0))
@@ -97,15 +98,25 @@ def _sq_cdist(a, b):
 @given(pairs(wide=True))
 def test_distance_matrices_are_cdist_bitwise(sets):
     x, y, _, _ = sets
-    union, sq, dists, x_rows, y_rows, _, _ = _union_geometry(x, y)
+    union, sq, x_rows, y_rows, _, _ = _union_geometry(x, y)
     assert sq.tobytes() == _sq_cdist(union, union).tobytes()
-    assert dists.tobytes() == cdist(union, union).tobytes()
+    # the plain distances are derived where they are read, from the one matrix
+    assert np.sqrt(sq).tobytes() == cdist(union, union).tobytes()
     # gathered through the union rows, duplicates and signed zeros included
     both = np.concatenate([x.coords, y.coords])
     rows = np.concatenate([x_rows, y_rows])
     assert sq[np.ix_(rows, rows)].tobytes() == _sq_cdist(both, both).tobytes()
     for s in (x, y):
         assert pairwise_distances(s).tobytes() == cdist(s.coords, s.coords).tobytes()
+
+
+@SETTINGS
+@given(pairs(wide=True), st.sampled_from((1e-6, 0.1, 1.0, 1e3)))
+def test_zeta_in_one_buffer_is_exp_of_distances(sets, t):
+    x, y, _, _ = sets
+    _, sq, _, _, x_block, y_block = _union_geometry(x, y)
+    zeta = _union_weights(sq, x_block, y_block, t)[0]
+    assert zeta.tobytes() == np.exp(-t * np.sqrt(sq)).tobytes()
 
 
 @SETTINGS
