@@ -7,6 +7,7 @@ with analytic gradients, classical baselines, reproducible studies, and a toy
 push-forward generator trained on the multiscale distance.
 """
 from . import _blas  # noqa: F401 - pins numpy's and scipy's OpenBLAS first
+from . import _alloc  # noqa: F401 - keeps freed heap memory mapped for reuse
 from .core import (DimensionMismatch, PointCsvError, PointSet, RngState,
                    dedupe, pairwise_distances, read_point_csv, sample_gaussian,
                    symmetric_difference_count, union_sets, write_point_csv)

@@ -202,9 +202,11 @@ def cmd_maggn_train(args) -> None:
 
 
 def cmd_maggn_sample(args) -> None:
-    _echo(args, seed=args.seed)
     ckpt = os.path.join(args.out, "checkpoint.json")
     gen = load_checkpoint(ckpt)
+    if args.n < 1:
+        raise ValueError("n must be >= 1")
+    _echo(args, seed=args.seed)
     rng = RngState(args.seed).derive(2)
     points = sample(gen, rng, args.n)
     out_csv = os.path.join(args.out, "samples.csv")

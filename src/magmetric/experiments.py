@@ -93,6 +93,8 @@ class StudyConfig:
             raise ValueError(f"unknown shift_mode {self.shift_mode!r}")
         if any(e < 0 for e in self.epsilons):
             raise ValueError("epsilons must be nonnegative")
+        if any(e > 1 for e in self.epsilons):  # a contamination rate
+            raise ValueError("epsilons must be at most 1")
         if any(r <= 0 for r in self.radii):
             raise ValueError("radii must be positive")
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):

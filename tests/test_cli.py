@@ -10,6 +10,7 @@ import magmetric.cli
 from magmetric.cli import main
 from magmetric.core import (PointSet, RngState, fmt17, read_point_csv, sample_gaussian,
                             write_point_csv)
+from magmetric.maggn import init_generator, save_checkpoint
 from magmetric.magnitude import magnitude
 
 
@@ -221,6 +222,9 @@ def test_non_finite_config_exits_2(csvs, capsys, tmp_path, argv, field):
     (["--study", "highdim", "--scales", "0.1,0.1"], "scales must not repeat a value"),
     (["--study", "outlier2d", "--scales", "5,5"], "scales must not repeat a value"),
     (["--study", "huber", "--epsilons", "0.05,0.05"], "epsilons must not repeat a value"),
+    # a contamination rate is a fraction: 1.5 would ask for more outliers than points
+    (["--study", "huber", "--epsilons", "1.5", "--n-per-set", "10"],
+     "epsilons must be at most 1"),
 ])
 def test_study_requirements_exit_2_before_echo(tmp_path, capsys, argv, message):
     code, out, err = run_cli(capsys, "experiment", *argv,
@@ -439,9 +443,22 @@ def test_maggn_train_bad_layer_dims(tmp_path, capsys, layer_dims, code, message)
 
 
 def test_maggn_sample_without_checkpoint(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "maggn", "sample", "--out",
-                           str(tmp_path / "empty"))
+    code, out, err = run_cli(capsys, "maggn", "sample", "--out",
+                             str(tmp_path / "empty"))
     assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_maggn_sample_bad_n_exits_2_before_echo(tmp_path, capsys):
+    save_checkpoint(init_generator(RngState(3), (2, 4, 2)),
+                    str(tmp_path / "checkpoint.json"))
+    code, out, err = run_cli(capsys, "maggn", "sample", "--out", str(tmp_path),
+                             "--n", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: n must be >= 1\n"
+    assert not (tmp_path / "samples.csv").exists()
 
 
 def _text_value(value) -> str:

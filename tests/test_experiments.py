@@ -66,6 +66,9 @@ def test_config_validation():
         config_from_dict("tsweep", {}, trials=0)
     with pytest.raises(ValueError):
         config_from_dict("outlier2d", {}, dims=(3,))  # planar study
+    with pytest.raises(ValueError, match="epsilons must be at most 1"):
+        config_from_dict("huber", {}, epsilons=(0.05, 1.5))  # a fraction
+    assert config_from_dict("huber", {}, epsilons=(1.0,)).epsilons == (1.0,)
     for bad in (math.nan, math.inf, 0.0):
         with pytest.raises(ValueError, match="scales"):
             StudyConfig(scales=(0.1, bad))
