@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PointSet, RngState, _require_same_dim
+from .core import PointSet, RngState, _block, _require_same_dim
 from .distance import _union_geometry
 from .magnitude import _require_scale
 
@@ -25,9 +25,9 @@ def mmd_squared(X: PointSet, Y: PointSet, sigma: float) -> float:
     if len(X) == 0 or len(Y) == 0:
         raise ValueError("mmd_squared needs nonempty sets")
     _, sq, x_rows, y_rows, _, _ = _union_geometry(X, Y)
-    k_xx = _gaussian_gram(sq[np.ix_(x_rows, x_rows)], sigma).mean()
-    k_yy = _gaussian_gram(sq[np.ix_(y_rows, y_rows)], sigma).mean()
-    k_xy = _gaussian_gram(sq[np.ix_(x_rows, y_rows)], sigma).mean()
+    k_xx = _gaussian_gram(_block(sq, x_rows, x_rows), sigma).mean()
+    k_yy = _gaussian_gram(_block(sq, y_rows, y_rows), sigma).mean()
+    k_xy = _gaussian_gram(_block(sq, x_rows, y_rows), sigma).mean()
     return float(k_xx + k_yy - 2.0 * k_xy)
 
 
@@ -40,9 +40,9 @@ def _w1_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     merged = np.concatenate([a, b], axis=1)
     order = np.argsort(merged, axis=1)
     deltas = np.diff(np.take_along_axis(merged, order, axis=1), axis=1)
-    from_a = order[:, :-1] < a.shape[1]
-    cdf_a = np.cumsum(from_a, axis=1) / a.shape[1]
-    cdf_b = np.cumsum(~from_a, axis=1) / b.shape[1]
+    count_a = np.cumsum(order[:, :-1] < a.shape[1], axis=1)
+    cdf_a = count_a / a.shape[1]
+    cdf_b = (np.arange(1, merged.shape[1]) - count_a) / b.shape[1]
     return np.vecdot(np.abs(cdf_a - cdf_b), deltas)
 
 
@@ -64,8 +64,8 @@ def sliced_wasserstein(X: PointSet, Y: PointSet, n_proj: int = 128, *,
     Deterministic given rng: directions consume n_proj * dim normal draws.
     """
     _require_same_dim(X, Y)
-    if n_proj < 1:
-        raise ValueError("n_proj must be >= 1")
+    if isinstance(n_proj, bool) or not isinstance(n_proj, (int, np.integer)) or n_proj < 1:
+        raise ValueError(f"n_proj must be an integer >= 1, got {n_proj!r}")
     if len(X) == 0 or len(Y) == 0:
         raise ValueError("sliced_wasserstein needs nonempty sets")
     dirs = rng.normals(n_proj * X.dim).reshape(n_proj, X.dim)

@@ -80,7 +80,7 @@ class RngState:
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
         z = z ^ (z >> np.uint64(31))
-        self._state = (self._state + count * _GAMMA) & _MASK64
+        self._state = (self._state + int(count) * _GAMMA) & _MASK64
         return z
 
     def uniforms(self, count: int) -> np.ndarray:
@@ -107,6 +107,8 @@ class RngState:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates shuffle of arange(n); one word per swap."""
+        if n < 0:
+            raise ValueError("count must be nonnegative")
         idx = list(range(n))
         bounds = np.arange(n, 1, -1, dtype=np.uint64)  # swap i draws word % (i + 1)
         js = (self._bulk_u64(len(bounds)) % bounds).tolist()
@@ -216,6 +218,11 @@ def _is_list_of(value, kind) -> bool:
 def _require_same_dim(X: PointSet, Y: PointSet) -> None:
     if X.dim != Y.dim:
         raise DimensionMismatch(f"dim {X.dim} vs dim {Y.dim}")
+
+
+def _block(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """a[np.ix_(rows, cols)], bitwise and C-ordered, as two row-major takes."""
+    return a.take(rows, 0).take(cols, 1)
 
 
 def _sq_distances(coords: np.ndarray) -> np.ndarray:

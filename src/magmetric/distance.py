@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.spatial.distance import cdist  # noqa: F401 - bound for bench/tracer.py
 
-from .core import (PointSet, _identity_memo, _require_same_dim, _sq_distances,
+from .core import (PointSet, _block, _identity_memo, _require_same_dim, _sq_distances,
                    _unique_rows, symmetric_difference_count, union_sets)
 from .core import dedupe  # noqa: F401 - bound for bench/tracer.py, unused here
 from .magnitude import (DEFAULT_EPS_SEP, DEFAULT_SUPPORT_TOL, CholeskyFailure,
@@ -53,6 +53,8 @@ class ScaleSchedule:
 
     def __post_init__(self):
         cleaned = tuple((float(t), int(e)) for t, e in self.entries)
+        if any(e != c for (_, e), (_, c) in zip(self.entries, cleaned)):
+            raise ValueError("schedule epochs must be whole numbers")
         if not cleaned:
             raise ValueError("schedule needs at least one entry")
         prev_epoch = 0
@@ -117,16 +119,17 @@ class CrossPolytopeResult(NamedTuple):
 def _union_geometry(X: PointSet, Y: PointSet):
     """(union, sq, x_rows, y_rows, x_block, y_block): the exact union X u Y in
     canonical order (only the point set decides it, so a swap changes
-    nothing), its squared distance matrix, each point's union row, and np.ix_
-    of X's and Y's blocks. sq is the only n x n array held: np.sqrt(sq) is
-    bitwise cdist(union, union), so the plain distances are derived where
-    they are read. Read-only, and computed once for consecutive calls on a
-    pair."""
+    nothing), its squared distance matrix, each point's union row, and the
+    union rows of X's and Y's blocks: their distinct rows in first-occurrence
+    order, gathered with _block. sq is the only n x n array held:
+    np.sqrt(sq) is bitwise cdist(union, union), so the plain distances are
+    derived where they are read. Read-only, and computed once for
+    consecutive calls on a pair."""
     _require_same_dim(X, Y)
     union, _, inverse = _unique_rows(np.concatenate([X.coords, Y.coords]))
     x_rows, y_rows = inverse[:len(X)], inverse[len(X):]
-    blocks = [np.ix_(f, f) for f in (_first_rows(x_rows), _first_rows(y_rows))]
-    return union, _sq_distances(union), x_rows, y_rows, *blocks
+    return (union, _sq_distances(union), x_rows, y_rows, _first_rows(x_rows),
+            _first_rows(y_rows))
 
 
 def _first_rows(rows: np.ndarray) -> np.ndarray:
@@ -152,8 +155,8 @@ def _union_weights(sq, x_block, y_block, t):
     zeta = np.sqrt(sq)
     zeta *= -t
     np.exp(zeta, out=zeta)
-    return (zeta, _weights(zeta, "union"), _weights(zeta[x_block], "x"),
-            _weights(zeta[y_block], "y"))
+    return (zeta, _weights(zeta, "union"), _weights(_block(zeta, x_block, x_block), "x"),
+            _weights(_block(zeta, y_block, y_block), "y"))
 
 
 def _combine(mag_u: float, mag_x: float, mag_y: float) -> tuple[float, float]:
@@ -188,7 +191,7 @@ def _separation_check(dists: np.ndarray, x_rows: np.ndarray, y_rows: np.ndarray)
     # first-occurrence order; pairs index that stack
     stack = np.concatenate([_first_rows(x_rows), y_rows])
     n_x = len(stack) - len(y_rows)
-    sub = dists[np.ix_(y_rows, stack)]
+    sub = _block(dists, y_rows, stack)
     k = np.arange(len(y_rows))
     sub[k, n_x + k] = np.inf  # a point's distance to itself
     bad = sub < DEFAULT_EPS_SEP
@@ -206,13 +209,13 @@ def _separation_check(dists: np.ndarray, x_rows: np.ndarray, y_rows: np.ndarray)
 def _gradient_geometry(X: PointSet, Y: PointSet):
     """(inv_u, inv_y): 1 / d from each point of Y to X u Y and to Y, 0 in its
     own column. A pair that fails the separation check stores nothing; one
-    that passes has a duplicate-free Y, so y_block is np.ix_(y_rows, y_rows).
+    that passes has a duplicate-free Y, so y_block is y_rows.
     The plain distances live only while this runs."""
     _, sq, x_rows, y_rows, _, y_block = _union_geometry(X, Y)
     dists = np.sqrt(sq)
     _separation_check(dists, x_rows, y_rows)
     return (_inverse_distances(dists, y_rows),
-            _inverse_distances(dists[y_block], np.arange(len(Y))))
+            _inverse_distances(_block(dists, y_block, y_block), np.arange(len(Y))))
 
 
 def _value_and_gradient(X: PointSet, Y: PointSet, t: float, normalized: bool):
@@ -230,7 +233,8 @@ def _value_and_gradient(X: PointSet, Y: PointSet, t: float, normalized: bool):
     dist, value = _combine(mag_u, mag_x, mag_y)
     grad_u = _gradient_rows(union, zeta, inv_u, w_u, t, y_rows)
     # Y is duplicate-free, so w_y is ordered like y_rows and Y's own rows
-    grad_y = _gradient_rows(Y.coords, zeta[y_block], inv_y, w_y, t, np.arange(len(Y)))
+    grad_y = _gradient_rows(Y.coords, _block(zeta, y_block, y_block), inv_y, w_y, t,
+                            np.arange(len(Y)))
     grad = 2.0 * grad_u - grad_y
     if not normalized:
         return dist, grad

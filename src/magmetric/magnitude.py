@@ -84,14 +84,20 @@ def _require_scale(t, name: str = "scale t") -> None:
 def _solve_ones(zeta: np.ndarray):
     """Cholesky-solve zeta w = 1.
 
-    One iterative-refinement pass always runs (cheap, deterministic), then
-    the residual gate applies. Returns (w, residual, condition_hint, sum of
-    w); a 0 x 0 zeta (the empty set) gives (zeros(0), 0.0, 1.0, 0.0).
+    zeta must be bitwise symmetric, as every similarity matrix built here
+    is. The factor reads it through zeta.T, the Fortran-ordered view of the
+    same buffer, so LAPACK gets a plain copy instead of a transposing one;
+    its lower triangle is zeta's upper one, the same numbers. The factor's
+    upper triangle keeps those entries (clean=0): dpotrs reads only the
+    lower one. One iterative-refinement pass always runs (cheap,
+    deterministic), then the residual gate applies. Returns (w, residual,
+    condition_hint, sum of w); a 0 x 0 zeta (the empty set) gives
+    (zeros(0), 0.0, 1.0, 0.0).
     """
     n = zeta.shape[0]
     if n == 0:
         return np.zeros(0), 0.0, 1.0, 0.0
-    factor, info = dpotrf(zeta, lower=1)
+    factor, info = dpotrf(zeta.T, lower=1, clean=0)
     if info > 0:  # no factor, so no condition estimate either
         raise CholeskyFailure(
             f"similarity matrix is not positive definite at pivot {info} of {n}; "

@@ -102,6 +102,20 @@ def test_sliced_wasserstein_deterministic_in_rng():
     assert a != c
 
 
+@pytest.mark.parametrize("n_proj", [2.5, 3.0, True, "8", None])
+def test_sliced_wasserstein_refuses_non_integer_n_proj(n_proj):
+    x = sample_gaussian(RngState(1), 6, 2)
+    with pytest.raises(ValueError, match="n_proj must be an integer"):
+        sliced_wasserstein(x, x, n_proj, rng=RngState(2))
+
+
+def test_sliced_wasserstein_accepts_numpy_integer_n_proj():
+    x = sample_gaussian(RngState(1), 6, 2)
+    y = sample_gaussian(RngState(2), 7, 2, mean=1.0)
+    assert sliced_wasserstein(x, y, np.int64(8), rng=RngState(3)) == \
+        sliced_wasserstein(x, y, 8, rng=RngState(3))
+
+
 def test_sliced_wasserstein_requires_keyword_rng():
     x = sample_gaussian(RngState(1), 5, 2)
     with pytest.raises(TypeError):

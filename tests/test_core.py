@@ -7,7 +7,7 @@ import pytest
 
 import magmetric
 from magmetric.core import (DimensionMismatch, PointCsvError, PointSet,
-                            RngState, _sq_distances, dedupe, pairwise_distances,
+                            RngState, _block, _sq_distances, dedupe, pairwise_distances,
                             read_point_csv, sample_gaussian,
                             symmetric_difference_count,
                             union_sets, write_point_csv)
@@ -61,6 +61,34 @@ def test_rng_permutation_is_permutation():
     assert sorted(p.tolist()) == list(range(100))
     assert np.array_equal(p, RngState(77).permutation(100))
     assert RngState(77).permutation(0).size == 0
+
+
+def test_rng_takes_numpy_integer_counts():
+    # a numpy count must not overflow the Python-int state update
+    for n in (0, 5, 6):
+        assert RngState(4).normals(np.int64(n)).tobytes() == RngState(4).normals(n).tobytes()
+        assert np.array_equal(RngState(4).permutation(np.int64(n)), RngState(4).permutation(n))
+
+
+def test_rng_permutation_refuses_negative_count():
+    rng = RngState(77)
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        rng.permutation(-1)
+    # nothing was drawn
+    assert np.array_equal(rng.permutation(10), RngState(77).permutation(10))
+
+
+@pytest.mark.parametrize("rows, cols", [
+    ([3, 0, 2], [1, 4, 0, 2]),        # unsorted
+    ([1, 1, 4, 1], [2, 2, 0]),        # repeated
+    ([], [0, 1]), ([2, 0], []), ([], []),  # empty
+])
+def test_block_is_ix_gather_bitwise(rows, cols):
+    a = sample_gaussian(RngState(3), 5, 6).coords
+    r, c = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    got, want = _block(a, r, c), a[np.ix_(r, c)]
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert got.flags.c_contiguous
 
 
 def _scalar_permutation(rng, n):

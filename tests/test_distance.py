@@ -127,6 +127,11 @@ def test_schedule_validation():
             ScaleSchedule.parse(text)
     with pytest.raises(ValueError, match="must not repeat"):
         ScaleSchedule(((2.0, 1), (2, 4)))
+    # an epoch is a whole number; 1.7 is not silently epoch 1
+    for entries in (((0.5, 1.7),), ((0.5, 1), (1.5, 2.5))):
+        with pytest.raises(ValueError, match="epochs must be whole numbers"):
+            ScaleSchedule(entries)
+    assert ScaleSchedule(((0.5, 2.0), (1.5, np.int64(3)))).entries == ((0.5, 2), (1.5, 3))
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
@@ -360,7 +365,7 @@ def test_geometry_is_read_only():
     x, y = _pair(24, n=6, dim=2)
     union, sq, x_rows, y_rows, x_block, y_block = _union_geometry(x, y)
     inv_u, inv_y = _gradient_geometry(x, y)
-    for arr in (union, sq, x_rows, y_rows, *x_block, *y_block, inv_u, inv_y):
+    for arr in (union, sq, x_rows, y_rows, x_block, y_block, inv_u, inv_y):
         assert arr.size
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = arr.flat[0]

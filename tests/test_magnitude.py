@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from magmetric.core import PointSet, RngState, pairwise_distances, sample_gaussian
 from magmetric.magnitude import (CholeskyFailure, CoincidentPoints, _solve_ones,
@@ -201,6 +202,43 @@ def test_solve_returns_the_weighting_sum():
     pts = sample_gaussian(RngState(8), 9, 2)
     w, _, _, total = _solve_ones(np.exp(-0.6 * pairwise_distances(pts)))
     assert total == float(w.sum()) == magnitude(pts, 0.6).magnitude
+
+
+def _copying_solve(zeta):
+    # the reference solve: dpotrf on the C-ordered zeta, which f2py copies
+    # transposed, with the factor's upper triangle zeroed
+    n = zeta.shape[0]
+    factor, info = dpotrf(np.ascontiguousarray(zeta), lower=1)
+    assert info == 0
+    diag = np.diag(factor)
+    hint = float((diag.max() / diag.min()) ** 2)
+    ones = np.ones((n, 1))
+    w, _ = dpotrs(factor, ones, lower=1)
+    dw, _ = dpotrs(factor, ones - zeta @ w, lower=1)
+    w = w + dw
+    residual = float(np.abs(zeta @ w - ones).max())
+    w = w.ravel()
+    return w, residual, hint, float(w.sum())
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 400])
+def test_factor_reads_zeta_in_place_layout(monkeypatch, n):
+    # dpotrf gets the F-ordered view of zeta's own buffer, so no transposing
+    # copy is made, and every output bit is the copying solve's
+    zeta = np.exp(-1.0 * pairwise_distances(sample_gaussian(RngState(n), n, 5)))
+    seen = []
+
+    def recording(a, *args, **kwargs):
+        seen.append(a)
+        return dpotrf(a, *args, **kwargs)
+
+    monkeypatch.setattr(MAGNITUDE, "dpotrf", recording)
+    got = _solve_ones(zeta)
+    assert len(seen) == 1
+    assert seen[0].flags.f_contiguous and np.shares_memory(seen[0], zeta)
+    want = _copying_solve(zeta)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:]
 
 
 def test_magnitude_and_gradient_share_one_geometry(pdist_calls):

@@ -1,15 +1,21 @@
 """Bitwise invariants of the shared union core, on random sets with injected
 duplicates and signed zeros (hypothesis, derandomized)."""
+import importlib
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from magmetric.baselines import mmd_squared
-from magmetric.core import PointSet, RngState, pairwise_distances, sample_gaussian
+from magmetric.core import PointSet, RngState, _block, pairwise_distances, sample_gaussian
 from magmetric.distance import (_union_geometry, _union_weights, _value_and_gradient,
                                 mag_distance)
 from magmetric.magnitude import magnitude
+
+DISTANCE = importlib.import_module("magmetric.distance")
+MAGNITUDE = importlib.import_module("magmetric.magnitude")
 
 SCALES = st.sampled_from((0.1, 0.7, 3.0))
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
@@ -117,6 +123,36 @@ def test_zeta_in_one_buffer_is_exp_of_distances(sets, t):
     _, sq, _, _, x_block, y_block = _union_geometry(x, y)
     zeta = _union_weights(sq, x_block, y_block, t)[0]
     assert zeta.tobytes() == np.exp(-t * np.sqrt(sq)).tobytes()
+
+
+def _solver_inputs(module, fn, *args):
+    # every zeta that fn hands to module's _solve_ones, with the solve faked
+    seen = []
+
+    def record(zeta):
+        seen.append(zeta)
+        return np.zeros(len(zeta)), 0.0, 1.0, 0.0
+
+    with mock.patch.object(module, "_solve_ones", record):
+        fn(*args)
+    return seen
+
+
+@SETTINGS
+@given(pairs(wide=True), SCALES)
+def test_solved_zetas_are_bitwise_symmetric(sets, t):
+    # the factor reads zeta's upper triangle through zeta.T, which is the
+    # lower one only if every solved zeta equals its transpose bit for bit
+    x, y, _, _ = sets
+    _, sq, _, _, x_block, y_block = _union_geometry(x, y)
+    zeta = _union_weights(sq, x_block, y_block, t)[0]
+    blocks = [_block(zeta, b, b) for b in (x_block, y_block)]
+    assert [z.tobytes() for z in _solver_inputs(DISTANCE, mag_distance, x, y, t)] == \
+        [z.tobytes() for z in [zeta, *blocks]]
+    solved = [zeta, *blocks] + [_solver_inputs(MAGNITUDE, magnitude, s, t)[0]
+                                for s in (x, y)]
+    for z in solved:
+        assert np.array_equal(z, z.T)
 
 
 @SETTINGS
