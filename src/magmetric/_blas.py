@@ -1,10 +1,13 @@
-"""Pin the OpenBLAS that numpy and scipy bundle to one thread, at import.
+"""Pin the OpenBLAS that numpy and scipy bundle to one thread, at import,
+and load the compiled scipy modules magmetric calls straight from the wheel.
 
 At the sizes solved here its worker threads spin more than they help, and
 for n >= 128 they change the bits of `dpotrf`, `dpotrs` and `gemv`.
 """
 import ctypes
 import glob
+import importlib.machinery
+import importlib.util
 import os
 import warnings
 
@@ -23,6 +26,26 @@ def bundled(package) -> tuple:
         except OSError:
             pass
     return None, suffix
+
+
+def extension(package: str, name: str):
+    """The compiled module `package.name`, loaded from its file without
+    running `package`'s `__init__` (scipy.linalg's and scipy.spatial's pull
+    in kd-trees, qhull and scipy.sparse). The module is the one scipy's own
+    import would give, so its functions are the objects scipy's public API
+    calls."""
+    directory = importlib.util.find_spec(package).submodule_search_locations[0]
+    fullname = f"{package}.{name}"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, name + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(fullname, path)
+            spec = importlib.util.spec_from_file_location(fullname, path, loader=loader)
+            module = importlib.util.module_from_spec(spec)
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"no compiled module {fullname} in {directory}",
+                      name=fullname, path=directory)
 
 
 def pin(libraries: dict) -> dict:

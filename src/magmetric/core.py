@@ -13,7 +13,12 @@ import operator
 import threading
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+
+from ._blas import extension
+
+# the kernels behind pdist(., "sqeuclidean") and squareform, without scipy.spatial
+_distance_pybind = extension("scipy.spatial", "_distance_pybind")
+_distance_wrap = extension("scipy.spatial", "_distance_wrap")
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -228,10 +233,12 @@ def _block(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def _sq_distances(coords: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance matrix of the rows; bitwise
     cdist(coords, coords, "sqeuclidean") at half its pair evaluations, and
-    its square root is bitwise cdist(coords, coords)."""
-    if len(coords) == 0:  # squareform of an empty vector is [[0.]]
-        return np.zeros((0, 0))
-    return squareform(pdist(coords, "sqeuclidean"))
+    its square root is bitwise cdist(coords, coords). These are the calls
+    squareform(pdist(coords, "sqeuclidean")) makes after its checks."""
+    out = np.zeros((len(coords), len(coords)))
+    _distance_wrap.to_squareform_from_vector_wrap(
+        out, _distance_pybind.pdist_sqeuclidean(coords))
+    return out
 
 
 def pairwise_distances(X: PointSet) -> np.ndarray:

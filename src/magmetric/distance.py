@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist  # noqa: F401 - bound for bench/tracer.py
 
 from .core import (PointSet, _block, _identity_memo, _require_same_dim, _sq_distances,
                    _unique_rows, symmetric_difference_count, union_sets)
@@ -26,6 +25,16 @@ from .core import dedupe  # noqa: F401 - bound for bench/tracer.py, unused here
 from .magnitude import (DEFAULT_EPS_SEP, DEFAULT_SUPPORT_TOL, CholeskyFailure,
                         CoincidentPoints, _gradient_rows, _inverse_distances,
                         _require_scale, _solve_ones, magnitude)
+
+
+def __getattr__(name):
+    # bench/tracer.py patches magmetric.distance.cdist, which nothing here
+    # calls; import scipy.spatial only when it asks. Delete this once the
+    # tracer's geometry boundary moves to _sq_distances (ROADMAP item 1).
+    if name == "cdist":
+        from scipy.spatial.distance import cdist
+        return cdist
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
+from ._blas import extension
 from .core import PointSet, _identity_memo, dedupe, pairwise_distances
+
+# the f2py routines scipy.linalg.lapack re-exports, without scipy.linalg
+_flapack = extension("scipy.linalg", "_flapack")
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 SOLVER_RESIDUAL_TOL = 1e-8
 DEFAULT_EPS_SEP = 1e-9       # below this separation, distance gradients blow up

@@ -1,4 +1,5 @@
 """Baseline two-sample distances: MMD, 1D Wasserstein, sliced Wasserstein."""
+import json
 import math
 import os
 import subprocess
@@ -151,11 +152,42 @@ def test_w1_kernel_is_bitwise_scipy(pair):
     assert sliced_wasserstein(x, y, n_proj, rng=RngState(8)) == float(np.mean(want))
 
 
+# Run in a fresh interpreter: import the CLI, list which heavy scipy packages
+# it loaded, then import scipy's public modules after it and compare kernels.
+_IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import magmetric.cli
+loaded = [m for m in ("scipy.linalg", "scipy.spatial", "scipy.sparse", "scipy.stats")
+          if m in sys.modules]
+import numpy as np
+from scipy.linalg import lapack
+from scipy.spatial.distance import pdist, squareform
+core, magnitude = sys.modules["magmetric.core"], sys.modules["magmetric.magnitude"]
+coords = np.sqrt(np.arange(21.0)).reshape(7, 3)
+sq = squareform(pdist(coords, "sqeuclidean"))
+zeta = np.exp(-np.sqrt(sq))
+factor, info = lapack.dpotrf(zeta, lower=1)
+w, _ = lapack.dpotrs(factor, np.ones((7, 1)), lower=1)
+ours, ours_info = magnitude.dpotrf(zeta, lower=1)
+ours_w, _ = magnitude.dpotrs(ours, np.ones((7, 1)), lower=1)
+print(json.dumps({
+    "loaded": loaded,
+    "public_work": bool(info == 0 and np.allclose(zeta @ w, 1.0)
+                        and np.allclose(sq, ((coords[:, None] - coords) ** 2).sum(-1))),
+    "sq": core._sq_distances(coords).tobytes() == sq.tobytes(),
+    "factor": ours_info == 0 and ours.tobytes() == factor.tobytes(),
+    "solve": ours_w.tobytes() == w.tobytes(),
+}))
+"""
+
+
 def test_import_does_not_load_scipy_stats():
-    # a fresh interpreter that finds this same package first on its path
+    # nor scipy.linalg, scipy.spatial or scipy.sparse: the three compiled
+    # modules magmetric calls are loaded from their files, and they agree
+    # bitwise with the public modules imported after them
     src = os.path.dirname(os.path.dirname(magmetric.__file__))
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import magmetric; "
-            "print('scipy.stats' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, src], capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert json.loads(out) == {"loaded": [], "public_work": True, "sq": True,
+                               "factor": True, "solve": True}

@@ -1,6 +1,10 @@
-"""The import-time pin of numpy's and scipy's bundled OpenBLAS."""
+"""The import-time pin of numpy's and scipy's bundled OpenBLAS, and the
+loader of scipy's compiled modules."""
+import os
 import types
 import warnings
+
+import pytest
 
 from magmetric import _blas
 
@@ -35,3 +39,12 @@ def test_pin_warns_once_when_a_setter_is_missing():
     assert threads == {"numpy": 1, "scipy": None, "mkl": None}
     assert [w.category for w in caught] == [RuntimeWarning]
     assert "scipy, mkl" in str(caught[0].message)
+
+
+def test_extension_names_a_missing_module_and_where_it_looked():
+    with pytest.raises(ImportError) as err:
+        _blas.extension("scipy.spatial", "_no_such_module")
+    directory = os.path.join(os.path.dirname(_blas.scipy.__file__), "spatial")
+    assert "scipy.spatial._no_such_module" in str(err.value)
+    assert directory in str(err.value)
+    assert (err.value.name, err.value.path) == ("scipy.spatial._no_such_module", directory)

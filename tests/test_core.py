@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 import magmetric
 from magmetric.core import (DimensionMismatch, PointCsvError, PointSet,
@@ -162,12 +163,22 @@ def test_pairwise_distances_matches_norms():
 
 
 def test_sq_distances_small_sets():
-    # squareform alone would turn zero rows into [[0.]]
+    # zero rows give a 0 x 0 matrix, where squareform of pdist gives [[0.]]
     assert _sq_distances(np.empty((0, 3))).shape == (0, 0)
     assert _sq_distances(np.array([[1.5, -2.0]])).tolist() == [[0.0]]
     two = np.array([[0.0, 0.0], [3.0, 4.0]])
     assert _sq_distances(two).tolist() == [[0.0, 25.0], [25.0, 0.0]]
     assert pairwise_distances(PointSet([[7.0]])).tolist() == [[0.0]]
+    # the kernels get each layout as given, with no wrapper to normalize it:
+    # C- and F-ordered, negative-stride and strided rows are all bitwise
+    # squareform(pdist)
+    coords = RngState(3).normals(400 * 10).reshape(400, 10)
+    for n in (1, 2, 3, 200):
+        c = coords[:n, :5]
+        for layout in (c, np.asfortranarray(c), c[::-1], c[::-1, ::-1],
+                       coords[::-2][:n, 1::2]):
+            want = squareform(pdist(layout, "sqeuclidean"))
+            assert _sq_distances(layout).tobytes() == want.tobytes()
 
 
 def test_dedupe_exact():
