@@ -1,7 +1,7 @@
 """Magnitude of finite metric spaces: weightings, distances, and studies.
 
 The package is organised around a few small value types (PointSet,
-WeightingVector, DistanceReport) plus deterministic building blocks: a
+MagnitudeResult, DistanceReport) plus deterministic building blocks: a
 counter-based RNG, Cholesky-backed magnitude solves, the magnitude distance
 with analytic gradients, classical baselines, reproducible studies, and a toy
 push-forward generator trained on the multiscale distance.
@@ -12,8 +12,7 @@ from .core import (DimensionMismatch, PointCsvError, PointSet, RngState,
                    dedupe, pairwise_distances, read_point_csv, sample_gaussian,
                    symmetric_difference_count, union_sets, write_point_csv)
 from .magnitude import (CholeskyFailure, CoincidentPoints, MagnitudeResult,
-                        ScalePoint, WeightingVector, magnitude,
-                        magnitude_function, magnitude_gradient, weighting)
+                        magnitude, magnitude_gradient)
 from .distance import (BoundCheck, CrossPolytopeResult, DistanceReport,
                        LimitProbe, ScaleSchedule, bound_check, check_triangle,
                        cross_polytope_counterexample, limit_probe,
@@ -36,9 +35,8 @@ __all__ = [
     "dedupe", "pairwise_distances", "read_point_csv", "sample_gaussian",
     "symmetric_difference_count", "union_sets", "write_point_csv",
     # magnitude
-    "CholeskyFailure", "CoincidentPoints", "MagnitudeResult", "ScalePoint",
-    "WeightingVector", "magnitude", "magnitude_function", "magnitude_gradient",
-    "weighting",
+    "CholeskyFailure", "CoincidentPoints", "MagnitudeResult", "magnitude",
+    "magnitude_gradient",
     # distance
     "BoundCheck", "CrossPolytopeResult", "DistanceReport", "LimitProbe",
     "ScaleSchedule", "bound_check", "check_triangle", "limit_probe",

@@ -91,7 +91,7 @@ def cmd_magnitude(args) -> None:
     results = []
     for t in args.t:  # every scale solves on the one memoised geometry
         res = magnitude(points, t)
-        weights = res.weighting.weights
+        weights = res.weights
         results.append({"t": t, "magnitude": res.magnitude, "residual": res.residual,
                         "nonneg_weighting": bool(weights.size == 0 or
                                                  weights.min() >= -DEFAULT_SUPPORT_TOL)})
@@ -149,6 +149,8 @@ def cmd_experiment(args) -> None:
     overrides = {name: getattr(args, name) for name in STUDY_FLAGS
                  if getattr(args, name) is not None}
     cfg = config_from_dict(args.study, file_data, **overrides)
+    if not args.out:
+        raise ValueError("--out must name a file")
     out_dir = os.path.dirname(args.out) or "."
     if not os.path.isdir(out_dir):
         raise ValueError(f"output directory {out_dir!r} does not exist")
@@ -169,6 +171,8 @@ def cmd_experiment(args) -> None:
 
 
 def cmd_maggn_train(args) -> None:
+    if not args.out:
+        raise ValueError("--out must name a directory")
     schedule = ScaleSchedule.parse(args.schedule)
     config = TrainConfig(schedule=schedule, epochs=args.epochs,
                          batch_real=args.batch_real, batch_gen=args.batch_gen,

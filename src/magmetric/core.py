@@ -193,8 +193,8 @@ def _identity_memo(fn):
     call on the same objects (by identity) gets the stored result. The slot
     holds strong references, so no id can be reused while it is stored, and
     it is emptied before a new result is computed, so at most one result per
-    thread is alive. Its arrays, also those in tuples, are made read-only;
-    other items (a PointSet) are already immutable.
+    thread is alive. Its arrays are made read-only; other items (a PointSet)
+    are already immutable.
     """
     local = threading.local()
 
@@ -206,9 +206,8 @@ def _identity_memo(fn):
         local.last = None
         result = fn(*sets)
         for item in result:
-            for arr in item if isinstance(item, tuple) else (item,):
-                if isinstance(arr, np.ndarray):
-                    arr.setflags(write=False)
+            if isinstance(item, np.ndarray):
+                item.setflags(write=False)
         local.last = (sets, result)
         return result
     return memo

@@ -117,8 +117,6 @@ class LimitProbe(NamedTuple):
 
 
 class CrossPolytopeResult(NamedTuple):
-    x: PointSet
-    z: PointSet
     gap: float    # Mag(X u Z) - Mag(X)
     slack: float  # triangle slack for (X, empty, Z); negative = violation
     dense_gap: Optional[float] = None
@@ -194,11 +192,11 @@ def mag_distance(X: PointSet, Y: PointSet, t: float) -> DistanceReport:
         bound_2card=2.0 * len(union))
 
 
-def _separation_check(dists: np.ndarray, x_rows: np.ndarray, y_rows: np.ndarray) -> None:
+def _separation_check(dists: np.ndarray, x_block: np.ndarray, y_rows: np.ndarray) -> None:
     # every generated point must clear DEFAULT_EPS_SEP against every other
     # point of the stack [X'; Y], X' being X's distinct points in
-    # first-occurrence order; pairs index that stack
-    stack = np.concatenate([_first_rows(x_rows), y_rows])
+    # first-occurrence order (x_block); pairs index that stack
+    stack = np.concatenate([x_block, y_rows])
     n_x = len(stack) - len(y_rows)
     sub = _block(dists, y_rows, stack)
     k = np.arange(len(y_rows))
@@ -220,9 +218,9 @@ def _gradient_geometry(X: PointSet, Y: PointSet):
     own column. A pair that fails the separation check stores nothing; one
     that passes has a duplicate-free Y, so y_block is y_rows.
     The plain distances live only while this runs."""
-    _, sq, x_rows, y_rows, _, y_block = _union_geometry(X, Y)
+    _, sq, _, y_rows, x_block, y_block = _union_geometry(X, Y)
     dists = np.sqrt(sq)
-    _separation_check(dists, x_rows, y_rows)
+    _separation_check(dists, x_block, y_rows)
     return (_inverse_distances(dists, y_rows),
             _inverse_distances(_block(dists, y_block, y_block), np.arange(len(Y))))
 
@@ -299,14 +297,12 @@ def cross_polytope_counterexample(dim: int, t: float,
     mag_u = m * w_vertex + w_origin
     gap = mag_u - mag_x
     slack = 2.0 * (1.0 - gap)
-    x = PointSet(np.vstack([np.eye(dim), -np.eye(dim)]))
-    z = PointSet(np.zeros((1, dim)))
     dense_gap = None
-    if full_verify:
-        dense_u = magnitude(union_sets(x, z), t).magnitude
-        dense_x = magnitude(x, t).magnitude
-        dense_gap = dense_u - dense_x
-    return CrossPolytopeResult(x, z, gap, slack, dense_gap)
+    if full_verify:  # only the cross-check builds the 2*dim x dim point set
+        x = PointSet(np.vstack([np.eye(dim), -np.eye(dim)]))
+        dense_u = magnitude(union_sets(x, PointSet(np.zeros((1, dim)))), t).magnitude
+        dense_gap = dense_u - magnitude(x, t).magnitude
+    return CrossPolytopeResult(gap, slack, dense_gap)
 
 
 def bound_check(rep: DistanceReport) -> BoundCheck:

@@ -50,33 +50,17 @@ class CoincidentPoints(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class WeightingVector:
-    """Solution w of zeta w = 1 over the deduplicated representatives."""
+class MagnitudeResult:
+    """Magnitude at one scale and the solve behind it: the weighting w of
+    zeta w = 1 over the deduplicated representatives, and its health."""
 
+    magnitude: float          # sum of the weights
     points: PointSet          # representatives, first occurrence per group
     weights: np.ndarray
-    scale: float
     multiplicity: np.ndarray  # group sizes, parallel to points
+    scale: float
     residual: float           # inf-norm of zeta w - 1 after refinement
     condition_hint: float     # (max diag L / min diag L)^2 from the factor
-
-
-@dataclass(frozen=True)
-class MagnitudeResult:
-    magnitude: float
-    weighting: WeightingVector
-    residual: float
-    condition_hint: float
-
-
-@dataclass(frozen=True)
-class ScalePoint:
-    """One entry of a magnitude function sweep; error text on failed solves."""
-
-    t: float
-    magnitude: float  # nan when the solve failed
-    result: Optional[MagnitudeResult]
-    error: str = ""
 
 
 def _require_scale(t, name: str = "scale t") -> None:
@@ -134,43 +118,18 @@ def _geometry(X: PointSet):
     return reps, mult, (pairwise_distances(reps) if len(reps) else np.zeros((0, 0)))
 
 
-def weighting(X: PointSet, t: float) -> WeightingVector:
-    """Magnitude weighting of X at scale t.
+def magnitude(X: PointSet, t: float) -> MagnitudeResult:
+    """Magnitude of X at scale t: 0 for the empty set, 1 for singletons.
 
-    X is deduplicated exactly first; weights live on the representatives
+    X is deduplicated exactly first; the weights live on the representatives
     (one per duplicate group, all mass on the representative).
     """
-    if len(X) == 0:
-        raise ValueError("weighting needs a nonempty set")
-    return magnitude(X, t).weighting
-
-
-def magnitude(X: PointSet, t: float) -> MagnitudeResult:
-    """Sum of the weighting entries; 0 for the empty set, 1 for singletons."""
     _require_scale(t)
     reps, mult, dists = _geometry(X)
     zeta = -t * dists
     np.exp(zeta, out=zeta)
     w, residual, hint, total = _solve_ones(zeta)
-    wv = WeightingVector(points=reps, weights=w, scale=float(t), multiplicity=mult,
-                         residual=residual, condition_hint=hint)
-    return MagnitudeResult(total, wv, residual, hint)
-
-
-def magnitude_function(X: PointSet, ts) -> list[ScalePoint]:
-    """Magnitude at each scale in ts, all on one geometry; per-t solver
-    failures are recorded in the returned entries instead of aborting the sweep."""
-    ts = list(ts)
-    if not ts:
-        raise ValueError("ts must be nonempty")
-    out = []
-    for t in ts:
-        try:
-            res = magnitude(X, t)
-            out.append(ScalePoint(float(t), res.magnitude, res))
-        except (CholeskyFailure, ValueError) as exc:
-            out.append(ScalePoint(float(t), float("nan"), None, error=str(exc)))
-    return out
+    return MagnitudeResult(total, reps, w, mult, float(t), residual, hint)
 
 
 def _inverse_distances(dists: np.ndarray, rows: np.ndarray) -> np.ndarray:

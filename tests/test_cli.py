@@ -247,6 +247,13 @@ def test_missing_output_directory_exits_2_before_running(tmp_path, capsys,
     assert out == ""
     assert "does not exist" in err
     assert list(tmp_path.iterdir()) == []
+    # an empty --out names no file at all
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "experiment", "--study", "tsweep", "--out", "")
+    assert code == 2
+    assert out == ""
+    assert "--out must name a file" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_output_directory_as_out_exits_2_before_running(tmp_path, capsys,
@@ -380,7 +387,7 @@ def test_maggn_train_sample_round_trip(tmp_path, capsys):
     assert samples.coords.shape == (15, 2)
 
 
-def test_maggn_train_bad_schedule(tmp_path, capsys):
+def test_maggn_train_bad_schedule(tmp_path, capsys, monkeypatch):
     data_csv = str(tmp_path / "d.csv")
     write_point_csv(data_csv, sample_gaussian(RngState(2), 10, 2))
     code, _, err = run_cli(capsys, "maggn", "train", "--data", data_csv,
@@ -411,6 +418,14 @@ def test_maggn_train_bad_schedule(tmp_path, capsys):
     assert out == ""
     assert err == "error: epochs and batch sizes must be positive\n"
     assert not (tmp_path / "r").exists()
+    # an empty --out names no directory at all
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "maggn", "train", "--data", data_csv,
+                             "--schedule", "0.5@1", "--epochs", "2", "--out", "")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --out must name a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
 
 
 def test_maggn_train_warns_on_late_schedule_entry(tmp_path, capsys):

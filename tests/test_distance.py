@@ -2,6 +2,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,8 +270,18 @@ def test_cross_polytope_high_dim_violation():
     res = cross_polytope_counterexample(500, 5.0)
     assert res.gap == pytest.approx(7.18, abs=0.05)
     assert res.slack < 0
-    assert res.x.dim == 500 and len(res.x) == 1000
-    assert len(res.z) == 1 and np.all(res.z.coords == 0.0)
+
+
+def test_cross_polytope_closed_form_builds_no_point_sets():
+    # without full_verify the answer is closed-form: no 2*dim x dim array
+    tracemalloc.start()
+    try:
+        res = cross_polytope_counterexample(2000, 5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.slack < 0 and res.dense_gap is None
+    assert peak < 2**20
 
 
 def test_bound_check_1d_and_separated():
@@ -299,9 +310,9 @@ def separation_checks(monkeypatch):
     calls = []
     real = magmetric.distance._separation_check
 
-    def counting(dists, x_rows, y_rows):
+    def counting(dists, x_block, y_rows):
         calls.append(len(y_rows))
-        return real(dists, x_rows, y_rows)
+        return real(dists, x_block, y_rows)
 
     monkeypatch.setattr(magmetric.distance, "_separation_check", counting)
     return calls
@@ -376,9 +387,7 @@ def test_pair_geometry_holds_one_square_matrix():
     x, y = _pair(25, n=7, dim=3)
     geometry = _union_geometry(x, y)
     n = len(union_sets(x, y))
-    arrays = [a for item in geometry
-              for a in (item if isinstance(item, tuple) else (item,))]
-    square = [a for a in arrays if a.shape == (n, n)]
+    square = [a for a in geometry if a.shape == (n, n)]
     assert len(square) == 1 and square[0].dtype == np.float64
     assert square[0] is geometry[1]
 
@@ -410,7 +419,7 @@ def _distance_of(x, y):
 
 def _magnitude_of(x, _):
     res = magnitude(x, 0.7)
-    return res.magnitude, res.weighting.weights.tobytes()
+    return res.magnitude, res.weights.tobytes()
 
 
 @pytest.mark.parametrize("compute", [_distance_of, _magnitude_of],

@@ -8,8 +8,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from magmetric.core import PointSet, RngState, pairwise_distances, sample_gaussian
 from magmetric.magnitude import (CholeskyFailure, CoincidentPoints, _solve_ones,
-                                 magnitude, magnitude_function, magnitude_gradient,
-                                 weighting)
+                                 magnitude, magnitude_gradient)
 
 # the module itself: the package's `magnitude` attribute is the function
 MAGNITUDE = importlib.import_module("magmetric.magnitude")
@@ -32,25 +31,22 @@ def test_empty_and_singleton():
     assert magnitude(PointSet.empty(2), 1.0).magnitude == 0.0
     res = magnitude(PointSet([[3.0, 4.0]]), 0.7)
     assert res.magnitude == pytest.approx(1.0, abs=1e-15)
-    assert res.weighting.weights.tolist() == [1.0]
+    assert res.weights.tolist() == [1.0]
     empty = PointSet.empty(3)
     res = magnitude(empty, 0.7)
-    assert (res.magnitude, res.residual, res.condition_hint) == (0.0, 0.0, 1.0)
-    wv = res.weighting
-    assert wv.points is empty and wv.weights.shape == (0,)
-    assert wv.multiplicity.shape == (0,) and wv.multiplicity.dtype == np.intp
-    assert (wv.scale, wv.residual, wv.condition_hint) == (0.7, 0.0, 1.0)
+    assert (res.magnitude, res.scale, res.residual, res.condition_hint) == \
+        (0.0, 0.7, 0.0, 1.0)
+    assert res.points is empty and res.weights.shape == (0,)
+    assert res.multiplicity.shape == (0,) and res.multiplicity.dtype == np.intp
     w, residual, hint, total = _solve_ones(np.zeros((0, 0)))  # the solve itself
     assert w.shape == (0,) and (residual, hint, total) == (0.0, 1.0, 0.0)
     assert magnitude_gradient(empty, 0.7).shape == (0, 3)
-    with pytest.raises(ValueError, match="nonempty"):
-        weighting(empty, 0.7)
     # one distinct point, given three times
     single = PointSet([[3.0, -4.0]] * 3)
     res = magnitude(single, 0.7)
     assert (res.magnitude, res.residual, res.condition_hint) == (1.0, 0.0, 1.0)
-    assert res.weighting.multiplicity.tolist() == [3]
-    assert res.weighting.points.coords.tolist() == [[3.0, -4.0]]
+    assert res.multiplicity.tolist() == [3] and res.multiplicity.dtype == np.intp
+    assert res.points.coords.tolist() == [[3.0, -4.0]]
     assert np.array_equal(magnitude_gradient(single, 0.7), np.zeros((1, 2)))
     for fn in (magnitude, magnitude_gradient):
         for pts in (empty, single):
@@ -66,7 +62,7 @@ def test_scale_must_be_positive():
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_scale_must_be_finite(t):
     pts = PointSet([[0.0], [1.0]])
-    for fn in (magnitude, weighting, magnitude_gradient):
+    for fn in (magnitude, magnitude_gradient):
         with pytest.raises(ValueError, match="finite"):
             fn(pts, t)
 
@@ -87,27 +83,13 @@ def test_duplicate_invariance_exact():
 
 def test_weighting_solves_system():
     pts = sample_gaussian(RngState(3), 25, 4)
-    w = weighting(pts, 0.8)
+    w = magnitude(pts, 0.8)
     zeta = np.exp(-0.8 * np.sqrt(
         ((pts.coords[:, None, :] - pts.coords[None, :, :]) ** 2).sum(-1)))
     resid = np.abs(zeta @ w.weights - 1.0).max()
     assert resid <= 1e-8
     assert w.residual <= 1e-8
     assert w.multiplicity.sum() == 25
-
-
-def test_magnitude_function_multiple_scales():
-    pts = PointSet([[0.0], [1.0]])
-    out = magnitude_function(pts, [0.5, 1.0, 2.0])
-    assert [p.t for p in out] == [0.5, 1.0, 2.0]
-    for p in out:
-        assert p.error == ""
-        assert p.magnitude == pytest.approx(two_point_closed_form(p.t, 1.0),
-                                            abs=1e-12)
-    # a bad scale is reported per entry, not raised
-    mixed = magnitude_function(pts, [1.0, -2.0])
-    assert mixed[0].error == "" and mixed[1].error != ""
-    assert math.isnan(mixed[1].magnitude)
 
 
 @pytest.fixture()
@@ -124,26 +106,22 @@ def pdist_calls(monkeypatch):
     return calls
 
 
-def test_magnitude_function_builds_one_geometry(pdist_calls):
+def test_scale_loop_builds_one_geometry(pdist_calls):
     pts = sample_gaussian(RngState(5), 15, 3)
     pts = PointSet(np.vstack([pts.coords, pts.coords[[1, 4]]]))  # 2 duplicates
-    scales = (0.2, 1.0, -1.0, 3.0)
-    out = magnitude_function(pts, scales)
+    with pytest.raises(ValueError, match="finite and positive"):
+        magnitude(pts, -1.0)
+    assert pdist_calls == []  # a bad scale is refused before the geometry
+    results = [magnitude(pts, t) for t in (0.2, 1.0, 3.0)]
     assert pdist_calls == [15]
-    assert [p.t for p in out] == list(scales)
-    assert out[2].result is None and math.isnan(out[2].magnitude)
-    assert out[2].error == "scale t must be finite and positive"
-    for p in (out[0], out[1], out[3]):
-        want = magnitude(PointSet(pts.coords), p.t)
-        got = p.result
-        assert p.error == "" and p.magnitude == want.magnitude
-        assert (got.magnitude, got.residual, got.condition_hint) == \
-            (want.magnitude, want.residual, want.condition_hint)
-        assert got.weighting.weights.tobytes() == want.weighting.weights.tobytes()
-        assert got.weighting.points.coords.tobytes() == \
-            want.weighting.points.coords.tobytes()
-        assert np.array_equal(got.weighting.multiplicity, want.weighting.multiplicity)
-    assert len(pdist_calls) == 4
+    for got in results:  # bitwise what a fresh copy of the set gives
+        want = magnitude(PointSet(pts.coords), got.scale)
+        assert (got.magnitude, got.scale, got.residual, got.condition_hint) == \
+            (want.magnitude, want.scale, want.residual, want.condition_hint)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.points.coords.tobytes() == want.points.coords.tobytes()
+        assert np.array_equal(got.multiplicity, want.multiplicity)
+    assert pdist_calls == [15] * 4  # one more per fresh copy
 
 
 def test_gradient_matches_finite_differences():
@@ -250,16 +228,16 @@ def test_magnitude_and_gradient_share_one_geometry(pdist_calls):
     copy = PointSet(pts.coords)
     again = magnitude(copy, 1.0)
     assert again.magnitude == results[1].magnitude
-    assert again.weighting.weights.tobytes() == results[1].weighting.weights.tobytes()
+    assert again.weights.tobytes() == results[1].weights.tobytes()
     assert magnitude_gradient(copy, 1.0).tobytes() == grad.tobytes()
     assert pdist_calls == [12, 12]
 
 
 def test_stored_geometry_is_read_only():
     pts = PointSet(np.vstack([np.eye(3), np.eye(3)[:1]]))  # one duplicate
-    wv = magnitude(pts, 0.8).weighting
+    res = magnitude(pts, 0.8)
     dists = MAGNITUDE._geometry(pts)[2]
-    assert wv.multiplicity.tolist() == [2, 1, 1]
-    for arr in (wv.multiplicity, dists):
+    assert res.multiplicity.tolist() == [2, 1, 1]
+    for arr in (res.multiplicity, dists):
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = arr.flat[0]
