@@ -24,7 +24,7 @@ def mmd_squared(X: PointSet, Y: PointSet, sigma: float) -> float:
     _require_same_dim(X, Y)
     if len(X) == 0 or len(Y) == 0:
         raise ValueError("mmd_squared needs nonempty sets")
-    _, sq, x_rows, y_rows, _, _ = _union_geometry(X, Y)
+    _, sq, x_rows, y_rows, *_ = _union_geometry(X, Y)
     k_xx = _gaussian_gram(_block(sq, x_rows, x_rows), sigma).mean()
     k_yy = _gaussian_gram(_block(sq, y_rows, y_rows), sigma).mean()
     k_xy = _gaussian_gram(_block(sq, x_rows, y_rows), sigma).mean()

@@ -206,6 +206,8 @@ def cmd_maggn_train(args) -> None:
 
 
 def cmd_maggn_sample(args) -> None:
+    if not args.out:
+        raise ValueError("--out must name a directory")
     ckpt = os.path.join(args.out, "checkpoint.json")
     gen = load_checkpoint(ckpt)
     if args.n < 1:

@@ -138,9 +138,13 @@ class PointSet:
 
     Duplicates are legal inputs (they are collapsed where the math requires
     it). Coordinates must be finite. Construct empties via PointSet.empty.
+    A set also carries a private table, {t: (magnitude, weighting
+    nonnegative)}, that the distance layer fills with the set's own solves:
+    one float and one flag per scale, kept as long as the set. Both depend
+    only on the coordinates and t, so the table never changes the set's value.
     """
 
-    __slots__ = ("_coords",)
+    __slots__ = ("_coords", "_magnitudes")
 
     def __init__(self, coords):
         arr = np.array(coords, dtype=np.float64, order="C", copy=True)
@@ -152,6 +156,7 @@ class PointSet:
             raise ValueError("point coordinates must be finite")
         arr.setflags(write=False)
         self._coords = arr
+        self._magnitudes = {}
 
     @classmethod
     def empty(cls, dim: int) -> "PointSet":
@@ -193,8 +198,10 @@ def _identity_memo(fn):
     call on the same objects (by identity) gets the stored result. The slot
     holds strong references, so no id can be reused while it is stored, and
     it is emptied before a new result is computed, so at most one result per
-    thread is alive. Its arrays are made read-only; other items (a PointSet)
-    are already immutable.
+    thread is alive. Its arrays are made read-only; other items are already
+    immutable, except a dict, which is a per-scale table that callers fill
+    with values derived from the same sets. It lives and goes with the
+    result, and no value in it depends on when it was filled.
     """
     local = threading.local()
 

@@ -9,7 +9,9 @@ zeta and the solves depend on t: consecutive calls on the same two PointSets
 share the squared-distance matrix, the only n x n array stored (mmd_squared
 reads it too), and the gradient's separation check and inverse distances.
 Each scale builds zeta in one buffer from the matrix's square root, which is
-bitwise cdist.
+bitwise cdist. Each magnitude is solved once per scale: Mag(X) and Mag(Y)
+are kept on the sets and Mag(X u Y) with the pair's geometry, so a set in
+several pairs, or a scale asked twice, reuses its solve.
 """
 from __future__ import annotations
 
@@ -124,19 +126,21 @@ class CrossPolytopeResult(NamedTuple):
 
 @_identity_memo
 def _union_geometry(X: PointSet, Y: PointSet):
-    """(union, sq, x_rows, y_rows, x_block, y_block): the exact union X u Y in
-    canonical order (only the point set decides it, so a swap changes
-    nothing), its squared distance matrix, each point's union row, and the
-    union rows of X's and Y's blocks: their distinct rows in first-occurrence
-    order, gathered with _block. sq is the only n x n array held:
-    np.sqrt(sq) is bitwise cdist(union, union), so the plain distances are
-    derived where they are read. Read-only, and computed once for
+    """(union, sq, x_rows, y_rows, x_block, y_block, solved): the exact union
+    X u Y in canonical order (only the point set decides it, so a swap
+    changes nothing), its squared distance matrix, each point's union row,
+    the union rows of X's and Y's blocks: their distinct rows in
+    first-occurrence order, gathered with _block, and the pair's table
+    {t: (Mag(X u Y), weighting nonnegative)} that _pair_magnitudes fills.
+    sq is the only n x n array held: np.sqrt(sq) is bitwise
+    cdist(union, union), so the plain distances are derived where they are
+    read. The arrays are read-only, and all of it is computed once for
     consecutive calls on a pair."""
     _require_same_dim(X, Y)
     union, _, inverse = _unique_rows(np.concatenate([X.coords, Y.coords]))
     x_rows, y_rows = inverse[:len(X)], inverse[len(X):]
     return (union, _sq_distances(union), x_rows, y_rows, _first_rows(x_rows),
-            _first_rows(y_rows))
+            _first_rows(y_rows), {})
 
 
 def _first_rows(rows: np.ndarray) -> np.ndarray:
@@ -145,25 +149,46 @@ def _first_rows(rows: np.ndarray) -> np.ndarray:
     return rows[np.sort(first)]
 
 
-def _weights(zeta: np.ndarray, label: str) -> tuple[np.ndarray, float]:
-    """(weighting, its sum) on a similarity matrix, a failed solve named by `label`."""
-    try:
-        w, _, _, total = _solve_ones(zeta)
-    except CholeskyFailure as exc:
-        raise CholeskyFailure(f"{label} solve failed: {exc}", pivot=exc.pivot,
-                              condition_hint=exc.condition_hint) from None
-    return w, total
-
-
-def _union_weights(sq, x_block, y_block, t):
-    """zeta of X u Y and the (weighting, sum) of X u Y, X and Y on its blocks;
-    X and Y in first-occurrence order, so their sums are bitwise magnitude(., t).
-    zeta is built in one buffer, bitwise np.exp(-t * np.sqrt(sq))."""
+def _zeta(sq: np.ndarray, t: float) -> np.ndarray:
+    """The similarity matrix in one buffer, bitwise np.exp(-t * np.sqrt(sq))."""
     zeta = np.sqrt(sq)
     zeta *= -t
     np.exp(zeta, out=zeta)
-    return (zeta, _weights(zeta, "union"), _weights(_block(zeta, x_block, x_block), "x"),
-            _weights(_block(zeta, y_block, y_block), "y"))
+    return zeta
+
+
+def _pair_magnitudes(geometry, X: PointSet, Y: PointSet, t: float, weightings=False):
+    """([(Mag, weighting nonnegative) of X u Y, X, Y], zeta) at scale t.
+
+    Each pair of values is read from the table that lives as long as what
+    it depends on: the pair's geometry for X u Y, the set itself for X and
+    Y. A missing one is solved and stored: X u Y on zeta, X and Y on its
+    blocks in first-occurrence order, so their sums are bitwise
+    magnitude(., t) whatever the partner. zeta is built only when a solve
+    is needed (else it is None), and a failed solve raises and stores
+    nothing. With `weightings`, all three are solved, nothing is read or
+    stored, and each pair holds the weighting in place of its flag.
+    """
+    _, sq, _, _, x_block, y_block, solved = geometry
+    t = float(t)
+    zeta, values = None, []
+    for part, table, block in (("union", solved, None), ("x", X._magnitudes, x_block),
+                               ("y", Y._magnitudes, y_block)):
+        if weightings or t not in table:
+            if zeta is None:
+                zeta = _zeta(sq, t)
+            try:
+                w, _, _, total = _solve_ones(
+                    zeta if block is None else _block(zeta, block, block))
+            except CholeskyFailure as exc:
+                raise CholeskyFailure(f"{part} solve failed: {exc}", pivot=exc.pivot,
+                                      condition_hint=exc.condition_hint) from None
+            if weightings:
+                values.append((total, w))
+                continue
+            table[t] = (total, bool(w.size == 0 or w.min() >= -DEFAULT_SUPPORT_TOL))
+        values.append(table[t])
+    return values, zeta
 
 
 def _combine(mag_u: float, mag_x: float, mag_y: float) -> tuple[float, float]:
@@ -180,16 +205,15 @@ def mag_distance(X: PointSet, Y: PointSet, t: float) -> DistanceReport:
     bit-identical under argument swap.
     """
     _require_scale(t)
-    union, sq, _, _, x_block, y_block = _union_geometry(X, Y)
-    _, (w_u, mag_u), (w_x, mag_x), (w_y, mag_y) = _union_weights(
-        sq, x_block, y_block, t)
+    geometry = _union_geometry(X, Y)
+    ((mag_u, nonneg_u), (mag_x, nonneg_x), (mag_y, nonneg_y)), _ = _pair_magnitudes(
+        geometry, X, Y, t)
     distance, normalized = _combine(mag_u, mag_x, mag_y)
-    nonneg = tuple(bool(w.size == 0 or w.min() >= -DEFAULT_SUPPORT_TOL)
-                   for w in (w_x, w_y, w_u))
     return DistanceReport(
         t=float(t), mag_union=mag_u, mag_x=mag_x, mag_y=mag_y,
-        distance=distance, normalized=normalized, nonneg_weightings=nonneg,
-        bound_2card=2.0 * len(union))
+        distance=distance, normalized=normalized,
+        nonneg_weightings=(nonneg_x, nonneg_y, nonneg_u),
+        bound_2card=2.0 * len(geometry[0]))
 
 
 def _separation_check(dists: np.ndarray, x_block: np.ndarray, y_rows: np.ndarray) -> None:
@@ -218,7 +242,7 @@ def _gradient_geometry(X: PointSet, Y: PointSet):
     own column. A pair that fails the separation check stores nothing; one
     that passes has a duplicate-free Y, so y_block is y_rows.
     The plain distances live only while this runs."""
-    _, sq, _, y_rows, x_block, y_block = _union_geometry(X, Y)
+    _, sq, _, y_rows, x_block, y_block, _ = _union_geometry(X, Y)
     dists = np.sqrt(sq)
     _separation_check(dists, x_block, y_rows)
     return (_inverse_distances(dists, y_rows),
@@ -233,10 +257,12 @@ def _value_and_gradient(X: PointSet, Y: PointSet, t: float, normalized: bool):
     is bitwise mag_distance(X, Y, t).distance, or .normalized.
     """
     _require_scale(t)
-    union, sq, _, y_rows, x_block, y_block = _union_geometry(X, Y)
+    geometry = _union_geometry(X, Y)
+    union, _, _, y_rows, _, y_block, _ = geometry
     inv_u, inv_y = _gradient_geometry(X, Y)
-    zeta, (w_u, mag_u), (_, mag_x), (w_y, mag_y) = _union_weights(
-        sq, x_block, y_block, t)
+    # training draws new sets at every step, so it stores no solve for later
+    ((mag_u, w_u), (mag_x, _), (mag_y, w_y)), zeta = _pair_magnitudes(
+        geometry, X, Y, t, weightings=True)
     dist, value = _combine(mag_u, mag_x, mag_y)
     grad_u = _gradient_rows(union, zeta, inv_u, w_u, t, y_rows)
     # Y is duplicate-free, so w_y is ordered like y_rows and Y's own rows

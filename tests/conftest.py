@@ -1,6 +1,6 @@
 """Shared pytest plumbing: collect acceptance-criterion report lines and
 print them as an uncaptured terminal section at the end of the run, and
-count the union geometries the distance layer builds."""
+count the union geometries and the solves the distance layer makes."""
 import pytest
 
 import magmetric.distance
@@ -27,3 +27,17 @@ def sq_calls(monkeypatch):
 
     monkeypatch.setattr(magmetric.distance, "_sq_distances", counting)
     return calls
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The size of each similarity matrix the distance layer solves, in call order."""
+    sizes = []
+    real = magmetric.distance._solve_ones
+
+    def counting(zeta):
+        sizes.append(zeta.shape[0])
+        return real(zeta)
+
+    monkeypatch.setattr(magmetric.distance, "_solve_ones", counting)
+    return sizes

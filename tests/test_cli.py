@@ -286,24 +286,15 @@ def test_unknown_flag_exits_2(csvs, tmp_path, argv):
     assert not (tmp_path / "run").exists()
 
 
-def test_bound_check_makes_one_solve_per_scale(tmp_path, capsys, monkeypatch):
+def test_bound_check_makes_one_solve_per_scale(tmp_path, capsys, solves):
     # --bound-check reads the report the distance already computed
     x, y = str(tmp_path / "x.csv"), str(tmp_path / "y.csv")
     write_point_csv(x, sample_gaussian(RngState(5), 30, 2))
     write_point_csv(y, sample_gaussian(RngState(6), 25, 2, mean=1.0))
-    module = importlib.import_module("magmetric.distance")
-    sizes = []
-    real = module._solve_ones
-
-    def counting(zeta):
-        sizes.append(zeta.shape[0])
-        return real(zeta)
-
-    monkeypatch.setattr(module, "_solve_ones", counting)
     code, out, _ = run_cli(capsys, "distance", "--x", x, "--y", y, "--t", "0.5",
                            "--bound-check")
     assert code == 0
-    assert sizes == [55, 30, 25]
+    assert solves == [55, 30, 25]
     assert "applicable=" in out and "holds=" in out
 
 
@@ -474,6 +465,23 @@ def test_maggn_sample_bad_n_exits_2_before_echo(tmp_path, capsys):
     assert out == ""
     assert err == "error: n must be >= 1\n"
     assert not (tmp_path / "samples.csv").exists()
+
+
+def test_maggn_sample_empty_out_exits_2_before_echo(tmp_path, capsys, monkeypatch):
+    # an empty --out names no directory, even where a checkpoint.json sits
+    save_checkpoint(init_generator(RngState(3), (2, 4, 2)),
+                    str(tmp_path / "checkpoint.json"))
+
+    def never(*args, **kwargs):
+        raise AssertionError("the checkpoint was read")
+
+    monkeypatch.setattr(magmetric.cli, "load_checkpoint", never)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "maggn", "sample", "--out", "", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --out must name a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
 
 
 def _text_value(value) -> str:

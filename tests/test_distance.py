@@ -17,7 +17,7 @@ from magmetric.distance import (ScaleSchedule, bound_check, check_triangle,
                                 _gradient_geometry, _union_geometry,
                                 _value_and_gradient)
 from magmetric.maggn import TrainConfig, init_generator, multiscale_loss, train
-from magmetric.magnitude import CoincidentPoints, magnitude
+from magmetric.magnitude import CholeskyFailure, CoincidentPoints, magnitude
 
 
 def _pair(seed, n=15, dim=3, shift=1.0):
@@ -374,7 +374,7 @@ def test_train_builds_one_geometry_per_attempt(sq_calls, monkeypatch):
 
 def test_geometry_is_read_only():
     x, y = _pair(24, n=6, dim=2)
-    union, sq, x_rows, y_rows, x_block, y_block = _union_geometry(x, y)
+    union, sq, x_rows, y_rows, x_block, y_block, _ = _union_geometry(x, y)
     inv_u, inv_y = _gradient_geometry(x, y)
     for arr in (union, sq, x_rows, y_rows, x_block, y_block, inv_u, inv_y):
         assert arr.size
@@ -387,7 +387,7 @@ def test_pair_geometry_holds_one_square_matrix():
     x, y = _pair(25, n=7, dim=3)
     geometry = _union_geometry(x, y)
     n = len(union_sets(x, y))
-    square = [a for a in geometry if a.shape == (n, n)]
+    square = [a for a in geometry if isinstance(a, np.ndarray) and a.shape == (n, n)]
     assert len(square) == 1 and square[0].dtype == np.float64
     assert square[0] is geometry[1]
 
@@ -411,6 +411,46 @@ def test_geometry_recomputed_after_errors(sq_calls, separation_checks):
     assert mag_distance(x, y, 0.9) == want
     # x,y  x,y(after mismatch)  x,clash  fresh clash  x,y
     assert len(sq_calls) - n_calls == 5
+
+
+# ------------------------------------------- one solve per set and scale
+
+
+def test_triangle_solves_each_set_once(solves):
+    x, y = _pair(40, n=9, dim=2)
+    z = sample_gaussian(RngState(41), 7, 2, mean=-1.0)
+    check_triangle(x, y, z, 0.8)
+    # X u Y, X, Y; Y u Z, Z; X u Z
+    assert solves == [18, 9, 9, 16, 7, 16]
+
+
+def test_repeated_call_solves_nothing(solves):
+    x, y = _pair(42, n=8, dim=3)
+    first = mag_distance(x, y, 0.6)
+    assert solves == [16, 8, 8]
+    assert mag_distance(x, y, 0.6) == first
+    assert solves == [16, 8, 8]
+
+
+def test_shared_set_solved_once_per_scale(solves):
+    x = sample_gaussian(RngState(43), 10, 2)
+    ys = [sample_gaussian(RngState(44 + k), n, 2, mean=1.0) for k, n in enumerate((7, 8, 9))]
+    reports = [(y, t, mag_distance(x, y, t)) for y in ys for t in (0.3, 1.2)]
+    # x is solved at its first pair's two scales, each union and each y at both
+    assert solves == [17, 10, 7, 17, 10, 7, 18, 8, 18, 8, 19, 9, 19, 9]
+    for y, t, rep in reports:
+        assert rep == mag_distance(_fresh(x), _fresh(y), t)
+
+
+def test_failed_union_solve_stores_nothing(solves):
+    x = PointSet([[0.0], [1.0]])
+    y = PointSet([[1e-14], [2.0]])  # the union is not numerically positive definite
+    for _ in range(3):
+        with pytest.raises(CholeskyFailure, match="union solve failed"):
+            mag_distance(x, y, 1e-3)
+    assert solves == [4, 4, 4]
+    assert _union_geometry(x, y)[-1] == {}
+    assert x._magnitudes == y._magnitudes == {}
 
 
 def _distance_of(x, y):

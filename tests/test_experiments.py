@@ -212,6 +212,24 @@ def test_highdim_builds_one_geometry_per_cell(sq_calls):
     assert sq_calls == [40] * 5
 
 
+def test_highdim_duplicate_scales_reuse_their_solves(solves, tmp_path):
+    # t=0.1 is 1/D at D=10; at D=100, t=0.01 is 1/D and t=0.1 is 1/sqrt(D)
+    cfg = config_from_dict("highdim", {}, dims=(10, 100), trials=2, n_per_set=20)
+    rows = run_study("highdim", cfg)
+    # per cell, three solves (X u Y, X, Y) for each distinct scale: 3 at D=10, 2 at D=100
+    assert solves == ([40, 20, 20] * 3 + [40, 20, 20] * 2) * 2
+    out = tmp_path / "rows.csv"
+    write_rows(out, rows)
+    values = {tuple(line.split(",")[1:4]): line.split(",")[5]
+              for line in out.read_text().splitlines()[1:]}
+    for dim, same in ((10, [("t=0.1", "t=1/D")]),
+                      (100, [("t=0.01", "t=1/D"), ("t=0.1", "t=1/sqrt(D)")])):
+        for trial in range(2):
+            for a, b in same:
+                assert values[(f"magdist_norm[{a}]", str(dim), str(trial))] == \
+                    values[(f"magdist_norm[{b}]", str(dim), str(trial))]
+
+
 def test_summarize_shape_and_stats(tmp_path):
     cfg = config_from_dict("huber", {}, trials=3, n_per_set=40, epsilons=(0.05,),
                            radii=(10.0, 100.0))

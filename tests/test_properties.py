@@ -1,6 +1,7 @@
 """Bitwise invariants of the shared union core, on random sets with injected
 duplicates and signed zeros (hypothesis, derandomized)."""
 import importlib
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -10,8 +11,7 @@ from scipy.spatial.distance import cdist
 
 from magmetric.baselines import mmd_squared
 from magmetric.core import PointSet, RngState, _block, pairwise_distances, sample_gaussian
-from magmetric.distance import (_union_geometry, _union_weights, _value_and_gradient,
-                                mag_distance)
+from magmetric.distance import _union_geometry, _value_and_gradient, _zeta, mag_distance
 from magmetric.magnitude import magnitude
 
 DISTANCE = importlib.import_module("magmetric.distance")
@@ -87,6 +87,29 @@ def test_component_magnitudes_are_magnitude(sets, t):
     assert _fields(rep) == _fields(mag_distance(base_x, base_y, t))
 
 
+def _report_bits(rep):
+    # every DistanceReport field, floats as their bytes
+    return [v if isinstance(v, tuple) else _bits(v) for v in astuple(rep)]
+
+
+@SETTINGS
+@given(pairs(), SCALES, SCALES)
+def test_stored_solves_change_no_bit(sets, t, s):
+    # X in three pairs, each asked at t, s and t again: the later calls read
+    # the solves the earlier ones stored
+    x, y, _, base_y = sets
+    calls = [(p, scale) for p in (y, base_y, PointSet(y.coords[::-1]))
+             for scale in (t, s, t)]
+    reports = [mag_distance(x, p, scale) for p, scale in calls]
+    for (p, scale), rep in zip(calls, reports):
+        fresh = mag_distance(PointSet(x.coords), PointSet(p.coords), scale)
+        assert _report_bits(rep) == _report_bits(fresh)
+        swapped = mag_distance(p, x, scale)
+        assert _fields(rep) == _fields(swapped)
+        assert _bits(rep.mag_x, rep.mag_y) == _bits(swapped.mag_y, swapped.mag_x)
+        assert _bits(rep.mag_x) == _bits(magnitude(x, scale).magnitude)
+
+
 @SETTINGS
 @given(pairs(training=True), SCALES)
 def test_training_value_is_mag_distance(sets, t):
@@ -104,7 +127,7 @@ def _sq_cdist(a, b):
 @given(pairs(wide=True))
 def test_distance_matrices_are_cdist_bitwise(sets):
     x, y, _, _ = sets
-    union, sq, x_rows, y_rows, _, _ = _union_geometry(x, y)
+    union, sq, x_rows, y_rows, _, _, _ = _union_geometry(x, y)
     assert sq.tobytes() == _sq_cdist(union, union).tobytes()
     # the plain distances are derived where they are read, from the one matrix
     assert np.sqrt(sq).tobytes() == cdist(union, union).tobytes()
@@ -120,9 +143,8 @@ def test_distance_matrices_are_cdist_bitwise(sets):
 @given(pairs(wide=True), st.sampled_from((1e-6, 0.1, 1.0, 1e3)))
 def test_zeta_in_one_buffer_is_exp_of_distances(sets, t):
     x, y, _, _ = sets
-    _, sq, _, _, x_block, y_block = _union_geometry(x, y)
-    zeta = _union_weights(sq, x_block, y_block, t)[0]
-    assert zeta.tobytes() == np.exp(-t * np.sqrt(sq)).tobytes()
+    sq = _union_geometry(x, y)[1]
+    assert _zeta(sq, t).tobytes() == np.exp(-t * np.sqrt(sq)).tobytes()
 
 
 def _solver_inputs(module, fn, *args):
@@ -144,8 +166,8 @@ def test_solved_zetas_are_bitwise_symmetric(sets, t):
     # the factor reads zeta's upper triangle through zeta.T, which is the
     # lower one only if every solved zeta equals its transpose bit for bit
     x, y, _, _ = sets
-    _, sq, _, _, x_block, y_block = _union_geometry(x, y)
-    zeta = _union_weights(sq, x_block, y_block, t)[0]
+    _, sq, _, _, x_block, y_block, _ = _union_geometry(x, y)
+    zeta = _zeta(sq, t)
     blocks = [_block(zeta, b, b) for b in (x_block, y_block)]
     assert [z.tobytes() for z in _solver_inputs(DISTANCE, mag_distance, x, y, t)] == \
         [z.tobytes() for z in [zeta, *blocks]]
