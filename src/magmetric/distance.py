@@ -6,12 +6,14 @@ one core: one squared-distance matrix and one zeta for the union, in a
 canonical row order so that swapping the arguments returns bit-identical
 numbers, with Mag(X) and Mag(Y) solved on principal blocks of that zeta. Only
 zeta and the solves depend on t: consecutive calls on the same two PointSets
-share the squared-distance matrix, the only n x n array stored (mmd_squared
-reads it too), and the gradient's separation check and inverse distances.
-Each scale builds zeta in one buffer from the matrix's square root, which is
-bitwise cdist. Each magnitude is solved once per scale: Mag(X) and Mag(Y)
-are kept on the sets and Mag(X u Y) with the pair's geometry, so a set in
-several pairs, or a scale asked twice, reuses its solve.
+share the squared-distance matrix, the only n x n array in the pair's
+geometry (mmd_squared reads it too). Each scale builds zeta in one buffer
+from the matrix's square root, which is bitwise cdist. The gradient keeps,
+per pair, its separation check, its inverse distances and that root, so a
+training pair takes one root for all of its scales. Each magnitude is
+solved once per scale: Mag(X) and Mag(Y) are kept on the sets and
+Mag(X u Y) with the pair's geometry, so a set in several pairs, or a scale
+asked twice, reuses its solve.
 """
 from __future__ import annotations
 
@@ -149,46 +151,54 @@ def _first_rows(rows: np.ndarray) -> np.ndarray:
     return rows[np.sort(first)]
 
 
-def _zeta(sq: np.ndarray, t: float) -> np.ndarray:
-    """The similarity matrix in one buffer, bitwise np.exp(-t * np.sqrt(sq))."""
-    zeta = np.sqrt(sq)
-    zeta *= -t
+def _zeta(sq: np.ndarray, t: float, dists: Optional[np.ndarray] = None) -> np.ndarray:
+    """The similarity matrix in one buffer, bitwise np.exp(-t * np.sqrt(sq)).
+    `dists`, when given, is np.sqrt(sq) already taken: IEEE products
+    commute, so dists * -t needs no second root for the same bits."""
+    if dists is None:
+        zeta = np.sqrt(sq)
+        zeta *= -t
+    else:
+        zeta = dists * -t
     np.exp(zeta, out=zeta)
     return zeta
 
 
-def _pair_magnitudes(geometry, X: PointSet, Y: PointSet, t: float, weightings=False):
-    """([(Mag, weighting nonnegative) of X u Y, X, Y], zeta) at scale t.
+def _pair_magnitudes(geometry, X: PointSet, Y: PointSet, t: float, dists=None):
+    """([(Mag, weighting nonnegative) of X u Y, X, Y], [their matrices]) at scale t.
 
     Each pair of values is read from the table that lives as long as what
     it depends on: the pair's geometry for X u Y, the set itself for X and
     Y. A missing one is solved and stored: X u Y on zeta, X and Y on its
     blocks in first-occurrence order, so their sums are bitwise
-    magnitude(., t) whatever the partner. zeta is built only when a solve
-    is needed (else it is None), and a failed solve raises and stores
-    nothing. With `weightings`, all three are solved, nothing is read or
+    magnitude(., t) whatever the partner. Each matrix is the one solved:
+    zeta, or the block gathered from it, once; None for a value that was
+    read. zeta is built only when a solve is needed, and a failed solve
+    raises and stores nothing. With `dists`, the pair's plain distances,
+    zeta is built from them, all three are solved, nothing is read or
     stored, and each pair holds the weighting in place of its flag.
     """
     _, sq, _, _, x_block, y_block, solved = geometry
     t = float(t)
-    zeta, values = None, []
+    fresh = dists is not None
+    zeta, values, matrices = None, [], []
     for part, table, block in (("union", solved, None), ("x", X._magnitudes, x_block),
                                ("y", Y._magnitudes, y_block)):
-        if weightings or t not in table:
+        matrix = None
+        if fresh or t not in table:
             if zeta is None:
-                zeta = _zeta(sq, t)
+                zeta = _zeta(sq, t, dists)
+            matrix = zeta if block is None else _block(zeta, block, block)
             try:
-                w, _, _, total = _solve_ones(
-                    zeta if block is None else _block(zeta, block, block))
+                w, _, _, total = _solve_ones(matrix)
             except CholeskyFailure as exc:
                 raise CholeskyFailure(f"{part} solve failed: {exc}", pivot=exc.pivot,
                                       condition_hint=exc.condition_hint) from None
-            if weightings:
-                values.append((total, w))
-                continue
-            table[t] = (total, bool(w.size == 0 or w.min() >= -DEFAULT_SUPPORT_TOL))
-        values.append(table[t])
-    return values, zeta
+            if not fresh:
+                table[t] = (total, bool(w.size == 0 or w.min() >= -DEFAULT_SUPPORT_TOL))
+        values.append((total, w) if fresh else table[t])
+        matrices.append(matrix)
+    return values, matrices
 
 
 def _combine(mag_u: float, mag_x: float, mag_y: float) -> tuple[float, float]:
@@ -238,15 +248,17 @@ def _separation_check(dists: np.ndarray, x_block: np.ndarray, y_rows: np.ndarray
 
 @_identity_memo
 def _gradient_geometry(X: PointSet, Y: PointSet):
-    """(inv_u, inv_y): 1 / d from each point of Y to X u Y and to Y, 0 in its
-    own column. A pair that fails the separation check stores nothing; one
-    that passes has a duplicate-free Y, so y_block is y_rows.
-    The plain distances live only while this runs."""
-    _, sq, _, y_rows, x_block, y_block, _ = _union_geometry(X, Y)
+    """(dists, inv_u, inv_y): the union's plain distances, bitwise
+    np.sqrt(sq), from which every scale's zeta is built without another
+    root, and 1 / d from each point of Y to X u Y and to Y, 0 in its own
+    column. A pair that fails the separation check stores nothing; one
+    that passes has a duplicate-free Y, so y_block is y_rows and inv_y is
+    inv_u's columns y_rows."""
+    _, sq, _, y_rows, x_block, _, _ = _union_geometry(X, Y)
     dists = np.sqrt(sq)
     _separation_check(dists, x_block, y_rows)
-    return (_inverse_distances(dists, y_rows),
-            _inverse_distances(_block(dists, y_block, y_block), np.arange(len(Y))))
+    inv_u = _inverse_distances(dists, y_rows)
+    return dists, inv_u, inv_u.take(y_rows, 1)
 
 
 def _value_and_gradient(X: PointSet, Y: PointSet, t: float, normalized: bool):
@@ -258,16 +270,15 @@ def _value_and_gradient(X: PointSet, Y: PointSet, t: float, normalized: bool):
     """
     _require_scale(t)
     geometry = _union_geometry(X, Y)
-    union, _, _, y_rows, _, y_block, _ = geometry
-    inv_u, inv_y = _gradient_geometry(X, Y)
+    union, _, _, y_rows, _, _, _ = geometry
+    dists, inv_u, inv_y = _gradient_geometry(X, Y)
     # training draws new sets at every step, so it stores no solve for later
-    ((mag_u, w_u), (mag_x, _), (mag_y, w_y)), zeta = _pair_magnitudes(
-        geometry, X, Y, t, weightings=True)
+    ((mag_u, w_u), (mag_x, _), (mag_y, w_y)), (zeta, _, zeta_y) = _pair_magnitudes(
+        geometry, X, Y, t, dists)
     dist, value = _combine(mag_u, mag_x, mag_y)
     grad_u = _gradient_rows(union, zeta, inv_u, w_u, t, y_rows)
     # Y is duplicate-free, so w_y is ordered like y_rows and Y's own rows
-    grad_y = _gradient_rows(Y.coords, _block(zeta, y_block, y_block), inv_y, w_y, t,
-                            np.arange(len(Y)))
+    grad_y = _gradient_rows(Y.coords, zeta_y, inv_y, w_y, t, np.arange(len(Y)))
     grad = 2.0 * grad_u - grad_y
     if not normalized:
         return dist, grad

@@ -147,6 +147,15 @@ def _backward(gen: Generator, acts, grad_out: np.ndarray):
     return g_w, g_b
 
 
+def _split(flat: np.ndarray, arrays) -> list:
+    """Views of `flat` shaped like `arrays`, laid end to end in their order."""
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return views
+
+
 def forward(gen: Generator, Z: PointSet) -> PointSet:
     """Push a batch of reference points through the network."""
     if Z.dim != gen.z_dim:
@@ -174,8 +183,11 @@ def train(gen: Generator, data: PointSet, config: TrainConfig):
     minibatch without replacement, take multiscale_loss over the active
     scales, backpropagate, and step. Coincident generated points are retried
     once with a fresh reference batch; a second failure logs the epoch as an
-    error row and skips the update. Returns (gen, TrainLog); gen is updated
-    in place.
+    error row and skips the update. Returns (gen, TrainLog). Adam is
+    elementwise, so it steps one flat buffer of all the parameters, weights
+    then biases in layer order: gen.weights and gen.biases are rebound to
+    views of it and hold the trained values. The arrays they held before
+    are not written to.
     """
     if len(data) == 0:
         raise ValueError("training data must be nonempty")
@@ -186,9 +198,12 @@ def train(gen: Generator, data: PointSet, config: TrainConfig):
                       "defined but the curriculum runs fine-to-coarse",
                       RuntimeWarning, stacklevel=2)
     rng = RngState(config.seed).derive(1)
-    params = gen.weights + gen.biases
-    adam_m = [np.zeros_like(p) for p in params]
-    adam_v = [np.zeros_like(p) for p in params]
+    arrays = gen.weights + gen.biases
+    params = np.concatenate([p.ravel() for p in arrays])
+    views = _split(params, arrays)
+    gen.weights, gen.biases = views[:len(gen.weights)], views[len(gen.weights):]
+    adam_m = np.zeros_like(params)
+    adam_v = np.zeros_like(params)
     batch_real = min(config.batch_real, len(data))
     log = TrainLog()
     step = 0
@@ -215,17 +230,19 @@ def train(gen: Generator, data: PointSet, config: TrainConfig):
                                         time.perf_counter() - started, error=error_text))
             continue
         g_w, g_b = _backward(gen, acts, grad_out)
-        grads = g_w + g_b
+        g = np.concatenate([a.ravel() for a in g_w + g_b])
         step += 1
         corr1 = 1.0 - ADAM_BETA1**step
         corr2 = 1.0 - ADAM_BETA2**step
-        for p, g, m, v in zip(params, grads, adam_m, adam_v):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p -= config.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
-        grad_norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
+        adam_m *= ADAM_BETA1
+        adam_m += (1.0 - ADAM_BETA1) * g
+        adam_v *= ADAM_BETA2
+        adam_v += (1.0 - ADAM_BETA2) * g * g
+        params -= config.learning_rate * (adam_m / corr1) / (
+            np.sqrt(adam_v / corr2) + ADAM_EPS)
+        # one sum per array, added in layer order: the bits of summing each
+        # gradient on its own, whatever the flat layout
+        grad_norm = math.sqrt(sum(float(s.sum()) for s in _split(g * g, arrays)))
         log.rows.append(TrainLogRow(epoch, len(active), float(loss), grad_norm,
                                     time.perf_counter() - started))
     return gen, log

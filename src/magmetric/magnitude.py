@@ -78,8 +78,9 @@ def _solve_ones(zeta: np.ndarray):
     its lower triangle is zeta's upper one, the same numbers. The factor's
     upper triangle keeps those entries (clean=0): dpotrs reads only the
     lower one. One iterative-refinement pass always runs (cheap,
-    deterministic), then the residual gate applies. Returns (w, residual,
-    condition_hint, sum of w); a 0 x 0 zeta (the empty set) gives
+    deterministic), then the residual gate applies. zeta is only read: the
+    refinement and the gate work in buffers of their own. Returns (w,
+    residual, condition_hint, sum of w); a 0 x 0 zeta (the empty set) gives
     (zeros(0), 0.0, 1.0, 0.0).
     """
     n = zeta.shape[0]
@@ -93,14 +94,17 @@ def _solve_ones(zeta: np.ndarray):
             pivot=int(info), condition_hint=math.inf)
     if info < 0:  # pragma: no cover - argument error, not a data condition
         raise CholeskyFailure(f"internal Cholesky error (lapack info {info})")
-    diag = np.diag(factor)
+    diag = factor.diagonal()
     hint = float((diag.max() / diag.min()) ** 2)
     ones = np.ones((n, 1))
     w, _ = dpotrs(factor, ones, lower=1)
-    resid_vec = ones - zeta @ w
-    dw, _ = dpotrs(factor, resid_vec, lower=1)
-    w = w + dw
-    residual = float(np.abs(zeta @ w - ones).max())
+    resid = zeta @ w
+    np.subtract(ones, resid, out=resid)
+    dw, _ = dpotrs(factor, resid, lower=1, overwrite_b=1)
+    w += dw
+    resid = zeta @ w
+    resid -= ones
+    residual = float(np.abs(resid, out=resid).max())
     if not residual <= SOLVER_RESIDUAL_TOL:  # a NaN residual fails too
         raise CholeskyFailure(
             f"solve residual {residual:.3e} exceeds {SOLVER_RESIDUAL_TOL:.0e} "
@@ -145,9 +149,12 @@ def _gradient_rows(coords: np.ndarray, zeta: np.ndarray, inv: np.ndarray,
     """Rows `rows` of the gradient of sum(w) in the point coordinates.
 
     Row k is 2t * w_k * sum_{j != k} w_j * zeta_kj * (x_k - x_j) / d_kj, with
-    inv = _inverse_distances(dists, rows).
+    inv the matching rows of 1 / d, 0 in each row's own column: what
+    _inverse_distances(dists, rows) returns. zeta and inv are only read.
     """
-    m = zeta[rows, :] * (w[rows, None] * w[None, :]) * inv
+    m = zeta.take(rows, 0)
+    m *= w[rows, None] * w[None, :]
+    m *= inv
     return 2.0 * t * (m.sum(axis=1)[:, None] * coords[rows] - m @ coords)
 
 

@@ -1,6 +1,8 @@
 """Shared pytest plumbing: collect acceptance-criterion report lines and
 print them as an uncaptured terminal section at the end of the run, and
-count the union geometries and the solves the distance layer makes."""
+count the union geometries, the solves, the block gathers and the square
+roots the distance layer makes."""
+import numpy as np
 import pytest
 
 import magmetric.distance
@@ -41,3 +43,35 @@ def solves(monkeypatch):
 
     monkeypatch.setattr(magmetric.distance, "_solve_ones", counting)
     return sizes
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """(matrix, rows, cols) of each block the distance layer gathers, in call order."""
+    calls = []
+    real = magmetric.distance._block
+
+    def counting(a, rows, cols):
+        calls.append((a, rows, cols))
+        return real(a, rows, cols)
+
+    monkeypatch.setattr(magmetric.distance, "_block", counting)
+    return calls
+
+
+@pytest.fixture
+def roots(monkeypatch):
+    """The shape of each array the distance layer takes np.sqrt of, in call order."""
+    shapes = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def sqrt(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return np.sqrt(x, *args, **kwargs)
+
+    monkeypatch.setattr(magmetric.distance, "np", CountingNumpy())
+    return shapes

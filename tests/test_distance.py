@@ -9,7 +9,7 @@ import pytest
 
 import magmetric.distance
 import magmetric.maggn
-from magmetric.core import (DimensionMismatch, PointSet, RngState,
+from magmetric.core import (DimensionMismatch, PointSet, RngState, _block,
                             sample_gaussian, union_sets)
 from magmetric.distance import (ScaleSchedule, bound_check, check_triangle,
                                 cross_polytope_counterexample, limit_probe,
@@ -17,7 +17,8 @@ from magmetric.distance import (ScaleSchedule, bound_check, check_triangle,
                                 _gradient_geometry, _union_geometry,
                                 _value_and_gradient)
 from magmetric.maggn import TrainConfig, init_generator, multiscale_loss, train
-from magmetric.magnitude import CholeskyFailure, CoincidentPoints, magnitude
+from magmetric.magnitude import (CholeskyFailure, CoincidentPoints, _inverse_distances,
+                                 magnitude)
 
 
 def _pair(seed, n=15, dim=3, shift=1.0):
@@ -375,11 +376,42 @@ def test_train_builds_one_geometry_per_attempt(sq_calls, monkeypatch):
 def test_geometry_is_read_only():
     x, y = _pair(24, n=6, dim=2)
     union, sq, x_rows, y_rows, x_block, y_block, _ = _union_geometry(x, y)
-    inv_u, inv_y = _gradient_geometry(x, y)
-    for arr in (union, sq, x_rows, y_rows, x_block, y_block, inv_u, inv_y):
+    dists, inv_u, inv_y = _gradient_geometry(x, y)
+    for arr in (union, sq, x_rows, y_rows, x_block, y_block, dists, inv_u, inv_y):
         assert arr.size
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = arr.flat[0]
+
+
+def test_training_pair_takes_one_root_and_gathers_y_once_per_scale(roots, blocks):
+    # the gradient path keeps the pair's plain distances and builds every
+    # scale's zeta from them; each zeta block it solves is the one it reads
+    x, y = _pair(26, n=9, dim=2)
+    scales = (0.5, 1.5, 3.0)
+    multiscale_loss(x, y, scales)
+    n = len(union_sets(x, y))
+    assert roots == [(n, n)]
+    y_block = _union_geometry(x, y)[5]
+    assert sum(rows is y_block for _, rows, _ in blocks) == len(scales)
+    assert len(blocks) == 1 + 2 * len(scales)  # the separation check, X's and Y's blocks
+
+
+def test_inverse_distances_to_y_are_a_column_gather():
+    # inv_y is inv_u's columns y_rows, bitwise the inverse of Y's own block
+    # of plain distances, with or without repeated points in X
+    rng = RngState(27)
+    x = sample_gaussian(rng.derive(0), 8, 3)
+    y = sample_gaussian(rng.derive(1), 6, 3, mean=0.5)
+    x_dup = PointSet(np.vstack([x.coords, x.coords[[5, 0, 5]]]))
+    for data in (x, x_dup):
+        _, sq, _, y_rows, _, y_block, _ = _union_geometry(data, y)
+        dists, inv_u, inv_y = _gradient_geometry(data, y)
+        assert dists.tobytes() == np.sqrt(sq).tobytes()
+        assert y_block.tobytes() == y_rows.tobytes()
+        want = _inverse_distances(_block(np.sqrt(sq), y_block, y_block), np.arange(len(y)))
+        assert inv_y.tobytes() == want.tobytes()
+        assert inv_u.tobytes() == _inverse_distances(np.sqrt(sq), y_rows).tobytes()
+        assert np.all(np.diag(inv_y) == 0.0)
 
 
 def test_pair_geometry_holds_one_square_matrix():

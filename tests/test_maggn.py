@@ -11,10 +11,10 @@ from magmetric.cli import main
 from magmetric.core import (DimensionMismatch, PointSet, RngState, sample_gaussian,
                             write_point_csv)
 from magmetric.distance import ScaleSchedule
-from magmetric.maggn import (TRAIN_LOG_HEADER, Generator, TrainConfig,
-                             TrainLog, _backward, _forward, forward,
-                             init_generator, load_checkpoint, multiscale_loss,
-                             sample, save_checkpoint, train)
+from magmetric.maggn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TRAIN_LOG_HEADER,
+                             Generator, TrainConfig, TrainLog, TrainLogRow, _backward,
+                             _forward, forward, init_generator, load_checkpoint,
+                             multiscale_loss, sample, save_checkpoint, train)
 from magmetric.magnitude import CoincidentPoints
 
 
@@ -352,3 +352,95 @@ def test_two_coincident_failures_log_an_error_row(monkeypatch, tmp_path, capsys)
     results = json.loads(capsys.readouterr().out)["results"]
     assert code == 0
     assert results["error_epochs"] == 2 and math.isnan(results["final_loss"])
+
+
+def _per_array_train(gen: Generator, data: PointSet, config: TrainConfig):
+    # the reference: train's epoch loop with Adam stepped array by array,
+    # each weight and bias updated in place with moments of its own
+    rng = RngState(config.seed).derive(1)
+    params = gen.weights + gen.biases
+    adam_m = [np.zeros_like(p) for p in params]
+    adam_v = [np.zeros_like(p) for p in params]
+    batch_real = min(config.batch_real, len(data))
+    log = TrainLog()
+    step = 0
+    for epoch in range(1, config.epochs + 1):
+        active = config.schedule.active(epoch)
+        if not active:
+            log.rows.append(TrainLogRow(epoch, 0, 0.0, 0.0, 0.0))
+            continue
+        picks = rng.permutation(len(data))[:batch_real]
+        real_batch = PointSet(data.coords[picks])
+        for _ in range(2):
+            z = rng.normals(config.batch_gen * gen.z_dim).reshape(config.batch_gen, gen.z_dim)
+            out, acts = _forward(gen, z)
+            try:
+                loss, grad_out = multiscale_loss(real_batch, PointSet(out), active)
+                break
+            except CoincidentPoints as exc:
+                error_text = f"{type(exc).__name__}: {exc}"
+        else:
+            log.rows.append(TrainLogRow(epoch, len(active), float("nan"), float("nan"), 0.0,
+                                        error=error_text))
+            continue
+        g_w, g_b = _backward(gen, acts, grad_out)
+        grads = g_w + g_b
+        step += 1
+        corr1 = 1.0 - ADAM_BETA1**step
+        corr2 = 1.0 - ADAM_BETA2**step
+        for p, g, m, v in zip(params, grads, adam_m, adam_v):
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p -= config.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+        grad_norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
+        log.rows.append(TrainLogRow(epoch, len(active), float(loss), grad_norm, 0.0))
+    return gen, log
+
+
+def _bitwise_rows(log: TrainLog) -> list:
+    # every log field but seconds, floats by their bits
+    return [(r.epoch, r.active_scales, r.loss.hex(), r.grad_norm.hex(), r.error)
+            for r in log.rows]
+
+
+def test_flat_adam_step_matches_the_per_array_loop(monkeypatch, tmp_path):
+    # epochs 1-2 are inactive, a second scale joins at epoch 9, and both
+    # attempts of epoch 5 (the third and fourth calls) raise, so it logs an
+    # error row and skips its step
+    real = magmetric.maggn._value_and_gradient
+    calls = []
+
+    def failing_epoch_5(x, y, t, normalized):
+        calls.append(t)
+        if len(calls) in (3, 4):
+            raise CoincidentPoints(1, 2, 1e-12)
+        return real(x, y, t, normalized=normalized)
+
+    monkeypatch.setattr(magmetric.maggn, "_value_and_gradient", failing_epoch_5)
+    cfg = TrainConfig(schedule=ScaleSchedule.parse("0.5@3,1.5@9"), epochs=20,
+                      batch_real=16, batch_gen=16, learning_rate=0.01, seed=6)
+    want, want_log = _per_array_train(init_generator(RngState(5), (2, 8, 8, 2)), _data(), cfg)
+    calls.clear()
+    gen = init_generator(RngState(5), (2, 8, 8, 2))
+    callers_first = gen.weights[0]
+    first_before = callers_first.copy()
+    got, log = train(gen, _data(), cfg)
+    assert got is gen
+    rows = _bitwise_rows(log)
+    assert [r[:2] for r in rows[:10]] == [(1, 0), (2, 0)] + [(e, 1) for e in range(3, 9)] + \
+        [(9, 2), (10, 2)]
+    assert rows[4][2] == "nan" and rows[4][4].startswith("CoincidentPoints:")
+    assert rows == _bitwise_rows(want_log)
+    for p, q in zip(gen.weights + gen.biases, want.weights + want.biases):
+        assert (p.shape, p.dtype, p.tobytes()) == (q.shape, q.dtype, q.tobytes())
+    save_checkpoint(gen, tmp_path / "flat.json")
+    save_checkpoint(want, tmp_path / "loop.json")
+    assert (tmp_path / "flat.json").read_bytes() == (tmp_path / "loop.json").read_bytes()
+    # gen's weights and biases were rebound to views of one buffer; the
+    # arrays the caller held before are left as they were
+    owners = {id(p.base) for p in gen.weights + gen.biases}
+    assert len(owners) == 1 and gen.weights[0].base is not None
+    assert callers_first.tobytes() == first_before.tobytes()
+    assert not np.array_equal(gen.weights[0], first_before)

@@ -7,8 +7,9 @@ import pytest
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from magmetric.core import PointSet, RngState, pairwise_distances, sample_gaussian
-from magmetric.magnitude import (CholeskyFailure, CoincidentPoints, _solve_ones,
-                                 magnitude, magnitude_gradient)
+from magmetric.magnitude import (CholeskyFailure, CoincidentPoints, _gradient_rows,
+                                 _inverse_distances, _solve_ones, magnitude,
+                                 magnitude_gradient)
 
 # the module itself: the package's `magnitude` attribute is the function
 MAGNITUDE = importlib.import_module("magmetric.magnitude")
@@ -184,7 +185,8 @@ def test_solve_returns_the_weighting_sum():
 
 def _copying_solve(zeta):
     # the reference solve: dpotrf on the C-ordered zeta, which f2py copies
-    # transposed, with the factor's upper triangle zeroed
+    # transposed, with the factor's upper triangle zeroed, and the
+    # refinement and residual gate in new arrays at every step
     n = zeta.shape[0]
     factor, info = dpotrf(np.ascontiguousarray(zeta), lower=1)
     assert info == 0
@@ -199,7 +201,7 @@ def _copying_solve(zeta):
     return w, residual, hint, float(w.sum())
 
 
-@pytest.mark.parametrize("n", [64, 128, 256, 400])
+@pytest.mark.parametrize("n", [1, 2, 64, 128, 256, 400])
 def test_factor_reads_zeta_in_place_layout(monkeypatch, n):
     # dpotrf gets the F-ordered view of zeta's own buffer, so no transposing
     # copy is made, and every output bit is the copying solve's
@@ -217,6 +219,32 @@ def test_factor_reads_zeta_in_place_layout(monkeypatch, n):
     want = _copying_solve(zeta)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1:] == want[1:]
+
+
+def _copying_gradient_rows(coords, zeta, inv, w, t, rows):
+    # the reference gradient rows, with a new array for every product
+    m = zeta[rows, :] * (w[rows, None] * w[None, :]) * inv
+    return 2.0 * t * (m.sum(axis=1)[:, None] * coords[rows] - m @ coords)
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 128, 400])
+def test_solve_and_gradient_rows_only_read_their_inputs(n):
+    # both refine in buffers of their own: zeta and its blocks are read
+    # again after the solves, so not one input bit may change
+    pts = sample_gaussian(RngState(n + 1), n, 3)
+    dists = pairwise_distances(pts)
+    zeta = np.exp(-0.8 * dists)
+    before = zeta.tobytes()
+    w = _solve_ones(zeta)[0]
+    assert zeta.tobytes() == before
+    for rows in (np.arange(n), np.arange(n)[::-2]):
+        inv = _inverse_distances(dists, rows)
+        inputs = (pts.coords, zeta, inv, w, rows)
+        saved = [a.tobytes() for a in inputs]
+        got = _gradient_rows(pts.coords, zeta, inv, w, 0.8, rows)
+        assert [a.tobytes() for a in inputs] == saved
+        want = _copying_gradient_rows(pts.coords, zeta, inv, w, 0.8, rows)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_magnitude_and_gradient_share_one_geometry(pdist_calls):
