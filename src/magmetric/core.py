@@ -46,6 +46,14 @@ def mix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _require_count(count) -> None:
+    """Raise ValueError unless count is a nonnegative integer (bools are not)."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ValueError(f"count must be an integer, got {count!r}")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+
+
 class RngState:
     """Deterministic pseudo-random stream (splitmix64 + Box-Muller).
 
@@ -90,15 +98,13 @@ class RngState:
 
     def uniforms(self, count: int) -> np.ndarray:
         """`count` floats in (0, 1]."""
-        if count < 0:
-            raise ValueError("count must be nonnegative")
+        _require_count(count)
         z = self._bulk_u64(count)
         return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
 
     def normals(self, count: int) -> np.ndarray:
         """`count` standard normals via Box-Muller."""
-        if count < 0:
-            raise ValueError("count must be nonnegative")
+        _require_count(count)
         if count == 0:
             return np.zeros(0)
         pairs = (count + 1) // 2
@@ -112,8 +118,7 @@ class RngState:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates shuffle of arange(n); one word per swap."""
-        if n < 0:
-            raise ValueError("count must be nonnegative")
+        _require_count(n)
         idx = list(range(n))
         bounds = np.arange(n, 1, -1, dtype=np.uint64)  # swap i draws word % (i + 1)
         js = (self._bulk_u64(len(bounds)) % bounds).tolist()

@@ -2,18 +2,19 @@
 
 The distance at scale t is 2*Mag(X u Y) - Mag(X) - Mag(Y); the normalized
 variant divides by Mag(X u Y). mag_distance and the training gradient share
-one core: one squared-distance matrix and one zeta for the union, in a
+one pair geometry: one squared-distance matrix for the union, in a
 canonical row order so that swapping the arguments returns bit-identical
-numbers, with Mag(X) and Mag(Y) solved on principal blocks of that zeta. Only
-zeta and the solves depend on t: consecutive calls on the same two PointSets
-share the squared-distance matrix, the only n x n array in the pair's
-geometry (mmd_squared reads it too). Each scale builds zeta in one buffer
-from the matrix's square root, which is bitwise cdist. The gradient keeps,
-per pair, its separation check, its inverse distances and that root, so a
-training pair takes one root for all of its scales. Each magnitude is
-solved once per scale: Mag(X) and Mag(Y) are kept on the sets and
+numbers. Only zeta and the solves depend on t: consecutive calls on the
+same two PointSets share that matrix, the only n x n array in the pair's
+geometry (mmd_squared reads it too). zeta is built from its square root,
+which is bitwise cdist, by the magnitude layer's one builder, and Mag(X) and
+Mag(Y) are solved on principal blocks of it. mag_distance solves each
+magnitude once per scale: Mag(X) and Mag(Y) are kept on the sets and
 Mag(X u Y) with the pair's geometry, so a set in several pairs, or a scale
-asked twice, reuses its solve.
+asked twice, reuses its solve. The gradient keeps, per pair, its
+separation check, its inverse distances and that root, so a training pair
+takes one root for all of its scales; it solves all three magnitudes at
+every call and stores none, since training draws new sets at every step.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .core import (PointSet, _block, _identity_memo, _require_same_dim, _sq_dist
 from .core import dedupe  # noqa: F401 - bound for bench/tracer.py, unused here
 from .magnitude import (DEFAULT_EPS_SEP, DEFAULT_SUPPORT_TOL, CholeskyFailure,
                         CoincidentPoints, _gradient_rows, _inverse_distances,
-                        _require_scale, _solve_ones, magnitude)
+                        _require_scale, _similarity, _solve_ones, magnitude)
 
 
 def __getattr__(name):
@@ -151,54 +152,44 @@ def _first_rows(rows: np.ndarray) -> np.ndarray:
     return rows[np.sort(first)]
 
 
-def _zeta(sq: np.ndarray, t: float, dists: Optional[np.ndarray] = None) -> np.ndarray:
-    """The similarity matrix in one buffer, bitwise np.exp(-t * np.sqrt(sq)).
-    `dists`, when given, is np.sqrt(sq) already taken: IEEE products
-    commute, so dists * -t needs no second root for the same bits."""
-    if dists is None:
-        zeta = np.sqrt(sq)
-        zeta *= -t
-    else:
-        zeta = dists * -t
-    np.exp(zeta, out=zeta)
-    return zeta
+def _zeta(sq: np.ndarray, t: float) -> np.ndarray:
+    """The similarity matrix in one buffer, bitwise np.exp(-t * np.sqrt(sq)):
+    the root, then zeta built in place in that buffer."""
+    dists = np.sqrt(sq)
+    return _similarity(dists, t, out=dists)
 
 
-def _pair_magnitudes(geometry, X: PointSet, Y: PointSet, t: float, dists=None):
-    """([(Mag, weighting nonnegative) of X u Y, X, Y], [their matrices]) at scale t.
+def _solve(part: str, matrix: np.ndarray):
+    """_solve_ones(matrix), with a failure's message naming `part` of the pair."""
+    try:
+        return _solve_ones(matrix)
+    except CholeskyFailure as exc:
+        raise CholeskyFailure(f"{part} solve failed: {exc}", pivot=exc.pivot,
+                              condition_hint=exc.condition_hint) from None
 
-    Each pair of values is read from the table that lives as long as what
-    it depends on: the pair's geometry for X u Y, the set itself for X and
-    Y. A missing one is solved and stored: X u Y on zeta, X and Y on its
-    blocks in first-occurrence order, so their sums are bitwise
-    magnitude(., t) whatever the partner. Each matrix is the one solved:
-    zeta, or the block gathered from it, once; None for a value that was
-    read. zeta is built only when a solve is needed, and a failed solve
-    raises and stores nothing. With `dists`, the pair's plain distances,
-    zeta is built from them, all three are solved, nothing is read or
-    stored, and each pair holds the weighting in place of its flag.
+
+def _pair_magnitudes(geometry, X: PointSet, Y: PointSet, t: float):
+    """[(Mag, weighting nonnegative) of X u Y, X, Y] at scale t.
+
+    Each pair is read from the table that lives as long as what it depends
+    on: the pair's geometry for X u Y, the set itself for X and Y. A missing
+    one is solved and stored: X u Y on zeta, X and Y on its blocks in
+    first-occurrence order, so their sums are bitwise magnitude(., t)
+    whatever the partner. zeta is built only when a solve is needed, and a
+    failed solve raises and stores nothing.
     """
     _, sq, _, _, x_block, y_block, solved = geometry
     t = float(t)
-    fresh = dists is not None
-    zeta, values, matrices = None, [], []
+    zeta, values = None, []
     for part, table, block in (("union", solved, None), ("x", X._magnitudes, x_block),
                                ("y", Y._magnitudes, y_block)):
-        matrix = None
-        if fresh or t not in table:
+        if t not in table:
             if zeta is None:
-                zeta = _zeta(sq, t, dists)
-            matrix = zeta if block is None else _block(zeta, block, block)
-            try:
-                w, _, _, total = _solve_ones(matrix)
-            except CholeskyFailure as exc:
-                raise CholeskyFailure(f"{part} solve failed: {exc}", pivot=exc.pivot,
-                                      condition_hint=exc.condition_hint) from None
-            if not fresh:
-                table[t] = (total, bool(w.size == 0 or w.min() >= -DEFAULT_SUPPORT_TOL))
-        values.append((total, w) if fresh else table[t])
-        matrices.append(matrix)
-    return values, matrices
+                zeta = _zeta(sq, t)
+            w, _, _, total = _solve(part, zeta if block is None else _block(zeta, block, block))
+            table[t] = (total, bool(w.size == 0 or w.min() >= -DEFAULT_SUPPORT_TOL))
+        values.append(table[t])
+    return values
 
 
 def _combine(mag_u: float, mag_x: float, mag_y: float) -> tuple[float, float]:
@@ -216,8 +207,7 @@ def mag_distance(X: PointSet, Y: PointSet, t: float) -> DistanceReport:
     """
     _require_scale(t)
     geometry = _union_geometry(X, Y)
-    ((mag_u, nonneg_u), (mag_x, nonneg_x), (mag_y, nonneg_y)), _ = _pair_magnitudes(
-        geometry, X, Y, t)
+    (mag_u, nonneg_u), (mag_x, nonneg_x), (mag_y, nonneg_y) = _pair_magnitudes(geometry, X, Y, t)
     distance, normalized = _combine(mag_u, mag_x, mag_y)
     return DistanceReport(
         t=float(t), mag_union=mag_u, mag_x=mag_x, mag_y=mag_y,
@@ -269,12 +259,15 @@ def _value_and_gradient(X: PointSet, Y: PointSet, t: float, normalized: bool):
     is bitwise mag_distance(X, Y, t).distance, or .normalized.
     """
     _require_scale(t)
-    geometry = _union_geometry(X, Y)
-    union, _, _, y_rows, _, _, _ = geometry
+    union, _, _, y_rows, x_block, y_block, _ = _union_geometry(X, Y)
     dists, inv_u, inv_y = _gradient_geometry(X, Y)
-    # training draws new sets at every step, so it stores no solve for later
-    ((mag_u, w_u), (mag_x, _), (mag_y, w_y)), (zeta, _, zeta_y) = _pair_magnitudes(
-        geometry, X, Y, t, dists)
+    # training draws new sets at every step, so it solves all three and
+    # stores none; Y's block feeds both its solve and its gradient rows
+    zeta = _similarity(dists, float(t))
+    w_u, _, _, mag_u = _solve("union", zeta)
+    mag_x = _solve("x", _block(zeta, x_block, x_block))[3]
+    zeta_y = _block(zeta, y_block, y_block)
+    w_y, _, _, mag_y = _solve("y", zeta_y)
     dist, value = _combine(mag_u, mag_x, mag_y)
     grad_u = _gradient_rows(union, zeta, inv_u, w_u, t, y_rows)
     # Y is duplicate-free, so w_y is ordered like y_rows and Y's own rows

@@ -132,13 +132,13 @@ def _thread_count() -> int:
         return 1
 
 
-def _shift_vector(mode: str, value: float, dim: int) -> np.ndarray:
-    vec = np.zeros(dim)
-    if mode == "fixed_norm":
-        vec[0] = value
-    else:  # per_coordinate
-        vec[:] = value
-    return vec
+def _shifted_pair(cfg: StudyConfig, rng: RngState, dim: int, shift: float):
+    """x ~ N(0, I), then y ~ N(mu, I), drawn in that order: mu is shift * e_1
+    (fixed_norm) or shift in every coordinate (per_coordinate)."""
+    x = sample_gaussian(rng, cfg.n_per_set, dim)
+    mu = np.full(dim, shift) if cfg.shift_mode == "per_coordinate" else np.zeros(dim)
+    mu[0] = shift
+    return x, sample_gaussian(rng, cfg.n_per_set, dim, mu)
 
 
 def _distance(a: PointSet, b: PointSet, t: float):
@@ -174,9 +174,7 @@ def _check_tsweep(cfg: StudyConfig) -> None:
 
 def _tsweep_trial(cfg: StudyConfig, rng: RngState, dim: int, shift: float) -> list:
     """Standard and normalized distance over t for one mean shift."""
-    x = sample_gaussian(rng, cfg.n_per_set, dim)
-    y = sample_gaussian(rng, cfg.n_per_set, dim,
-                        _shift_vector(cfg.shift_mode, shift, dim))
+    x, y = _shifted_pair(cfg, rng, dim, shift)
     rows = []
     for t in cfg.scales:
         param = f"mu={fmt17(shift)};t={fmt17(t)}"
@@ -194,9 +192,7 @@ def _check_highdim(cfg: StudyConfig) -> None:
 def _highdim_trial(cfg: StudyConfig, rng: RngState, dim: int, shift: float) -> list:
     """MMD, sliced Wasserstein, and normalized magnitude distance (fixed and
     dimension-adaptive scales) between shifted Gaussian clouds."""
-    x = sample_gaussian(rng, cfg.n_per_set, dim)
-    y = sample_gaussian(rng, cfg.n_per_set, dim,
-                        _shift_vector(cfg.shift_mode, shift, dim))
+    x, y = _shifted_pair(cfg, rng, dim, shift)
     rows = []
     for label, sigma in (("mmd2[sigma=1]", 1.0),
                          ("mmd2[sigma=1/sqrt(D)]", 1.0 / math.sqrt(dim))):

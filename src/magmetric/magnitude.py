@@ -113,6 +113,14 @@ def _solve_ones(zeta: np.ndarray):
     return w, residual, hint, float(w.sum())
 
 
+def _similarity(dists: np.ndarray, t: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """zeta = exp(-t * dists) in one buffer: `out`, which may be dists
+    itself, or a new one. The only place a similarity matrix is built."""
+    zeta = np.multiply(dists, -t, out=out)
+    np.exp(zeta, out=zeta)
+    return zeta
+
+
 @_identity_memo
 def _geometry(X: PointSet):
     """(reps, multiplicity, dists): X's distinct points in first-occurrence
@@ -130,9 +138,7 @@ def magnitude(X: PointSet, t: float) -> MagnitudeResult:
     """
     _require_scale(t)
     reps, mult, dists = _geometry(X)
-    zeta = -t * dists
-    np.exp(zeta, out=zeta)
-    w, residual, hint, total = _solve_ones(zeta)
+    w, residual, hint, total = _solve_ones(_similarity(dists, t))
     return MagnitudeResult(total, reps, w, mult, float(t), residual, hint)
 
 
@@ -174,8 +180,7 @@ def magnitude_gradient(X: PointSet, t: float) -> np.ndarray:
     k = int(np.argmin(masked))
     if masked.flat[k] < DEFAULT_EPS_SEP:
         raise CoincidentPoints(k // n, k % n, float(masked.flat[k]))
-    zeta = -t * dists
-    np.exp(zeta, out=zeta)
+    zeta = _similarity(dists, t)
     w = _solve_ones(zeta)[0]
     rows = np.arange(n)
     return _gradient_rows(reps.coords, zeta, _inverse_distances(dists, rows), w, t, rows)

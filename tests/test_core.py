@@ -79,6 +79,22 @@ def test_rng_permutation_refuses_negative_count():
     assert np.array_equal(rng.permutation(10), RngState(77).permutation(10))
 
 
+@pytest.mark.parametrize("method", ["uniforms", "normals", "permutation"])
+def test_rng_refuses_a_count_that_is_not_an_integer(method):
+    # uniforms(2.5) once returned 3 words but advanced the state by 2, so the
+    # next draw repeated the third word
+    rng = RngState(1)
+    draw = getattr(rng, method)
+    for count in (2.5, 3.0, np.float64(2.0), True, "3", None):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            draw(count)
+    for count in (-1, np.int64(-1)):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            draw(count)
+    # nothing was drawn
+    assert rng.uniforms(4).tobytes() == RngState(1).uniforms(4).tobytes()
+
+
 @pytest.mark.parametrize("rows, cols", [
     ([3, 0, 2], [1, 4, 0, 2]),        # unsorted
     ([1, 1, 4, 1], [2, 2, 0]),        # repeated

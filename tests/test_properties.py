@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from magmetric.baselines import mmd_squared
-from magmetric.core import PointSet, RngState, _block, pairwise_distances, sample_gaussian
+from magmetric.core import (PointSet, RngState, _block, dedupe, pairwise_distances,
+                            sample_gaussian)
 from magmetric.distance import _union_geometry, _value_and_gradient, _zeta, mag_distance
-from magmetric.magnitude import magnitude
+from magmetric.magnitude import magnitude, magnitude_gradient
 
 DISTANCE = importlib.import_module("magmetric.distance")
 MAGNITUDE = importlib.import_module("magmetric.magnitude")
@@ -32,9 +33,9 @@ def pairs(draw, training=False, wide=False):
 
     Y' may share points with X'. Copies repeat a set's own points, with the
     sign of zero coordinates flipped. With training=True, Y' shares nothing
-    with X' and only X gets copies, so Y stays duplicate-free and apart
-    from X. With wide=True, sets have up to 40 points in up to 300
-    dimensions, scaled by 1e-3 to 1e3.
+    with X', and only X gets copies and zeroed coordinates, so Y stays
+    duplicate-free and apart from X. With wide=True, sets have up to 40
+    points in up to 300 dimensions, scaled by 1e-3 to 1e3.
     """
     dim = draw(st.integers(1, 300 if wide else 4))
     n_max = 40 if wide else 7
@@ -44,7 +45,8 @@ def pairs(draw, training=False, wide=False):
     if wide:
         pts *= 10.0 ** draw(st.floats(-3.0, 3.0))
     for i in draw(st.lists(st.integers(0, n_x + n_y - 1), max_size=4)):
-        pts[i, 0] = 0.0
+        if not (training and i >= n_x):  # a zeroed Y row could meet X's in 1-D
+            pts[i, 0] = 0.0
     base_x, base_y = pts[:n_x], pts[n_x:]
     if not training:
         shared = draw(st.lists(st.integers(0, n_x - 1), max_size=3))
@@ -173,6 +175,26 @@ def test_solved_zetas_are_bitwise_symmetric(sets, t):
         [z.tobytes() for z in [zeta, *blocks]]
     solved = [zeta, *blocks] + [_solver_inputs(MAGNITUDE, magnitude, s, t)[0]
                                 for s in (x, y)]
+    for z in solved:
+        assert np.array_equal(z, z.T)
+
+
+@SETTINGS
+@given(pairs(training=True), SCALES)
+def test_gradient_zetas_come_from_the_one_builder(sets, t):
+    # the gradients solve zeta built from the plain distances they keep:
+    # each is bitwise np.exp(-t * d) of its own distances, and symmetric
+    x, y, _, _ = sets
+    union, _, _, _, x_block, y_block, _ = _union_geometry(x, y)
+    d = cdist(union, union)
+    dists = [d] + [d[np.ix_(b, b)] for b in (x_block, y_block)]
+    solved = _solver_inputs(DISTANCE, _value_and_gradient, x, y, t, False)
+    for s in (x, y):
+        reps = dedupe(s)[0].coords
+        if len(reps) > 1:  # a singleton's gradient is 0 with no solve
+            dists.append(cdist(reps, reps))
+        solved += _solver_inputs(MAGNITUDE, magnitude_gradient, s, t)
+    assert [z.tobytes() for z in solved] == [np.exp(-t * a).tobytes() for a in dists]
     for z in solved:
         assert np.array_equal(z, z.T)
 
