@@ -8,9 +8,10 @@ from .distance import _union_geometry
 from .magnitude import _require_scale
 
 
-def _gaussian_gram(sq: np.ndarray, sigma: float) -> np.ndarray:
-    """exp(-sq / (2 * sigma^2)) on squared distances."""
-    return np.exp(-sq / (2.0 * sigma**2))
+def _gaussian_gram(d: np.ndarray, sigma: float) -> np.ndarray:
+    """exp(-d^2 / (2 * sigma^2)), squaring the block of distances d in place."""
+    d *= d
+    return np.exp(-d / (2.0 * sigma**2))
 
 
 def mmd_squared(X: PointSet, Y: PointSet, sigma: float) -> float:
@@ -18,16 +19,17 @@ def mmd_squared(X: PointSet, Y: PointSet, sigma: float) -> float:
 
     mean(Kxx) + mean(Kyy) - 2*mean(Kxy) with the diagonal terms included,
     which is what makes Y = X give exactly 0. The blocks are gathered from
-    the pair's stored union geometry, bitwise cdist(., ., "sqeuclidean").
+    the pair's stored distances, bitwise cdist(., .), and squared, so each
+    mean is bitwise that of np.exp(-cdist(., .)**2 / (2 * sigma^2)).
     """
     _require_scale(sigma, "bandwidth sigma")
     _require_same_dim(X, Y)
     if len(X) == 0 or len(Y) == 0:
         raise ValueError("mmd_squared needs nonempty sets")
-    _, sq, x_rows, y_rows, *_ = _union_geometry(X, Y)
-    k_xx = _gaussian_gram(_block(sq, x_rows, x_rows), sigma).mean()
-    k_yy = _gaussian_gram(_block(sq, y_rows, y_rows), sigma).mean()
-    k_xy = _gaussian_gram(_block(sq, x_rows, y_rows), sigma).mean()
+    _, dists, x_rows, y_rows, *_ = _union_geometry(X, Y)
+    k_xx = _gaussian_gram(_block(dists, x_rows, x_rows), sigma).mean()
+    k_yy = _gaussian_gram(_block(dists, y_rows, y_rows), sigma).mean()
+    k_xy = _gaussian_gram(_block(dists, x_rows, y_rows), sigma).mean()
     return float(k_xx + k_yy - 2.0 * k_xy)
 
 

@@ -19,8 +19,7 @@ from .distance import (ScaleSchedule, bound_check, cross_polytope_counterexample
                        mag_distance)
 from .experiments import (config_as_dict, config_from_dict, run_study,
                           study_names, summary_path, write_rows, write_summary)
-from .magnitude import (DEFAULT_SUPPORT_TOL, CholeskyFailure, CoincidentPoints,
-                        magnitude)
+from .magnitude import CholeskyFailure, CoincidentPoints, _nonnegative, magnitude
 from .maggn import (TrainConfig, init_generator, load_checkpoint, sample,
                     save_checkpoint, train)
 
@@ -91,10 +90,8 @@ def cmd_magnitude(args) -> None:
     results = []
     for t in args.t:  # every scale solves on the one memoised geometry
         res = magnitude(points, t)
-        weights = res.weights
         results.append({"t": t, "magnitude": res.magnitude, "residual": res.residual,
-                        "nonneg_weighting": bool(weights.size == 0 or
-                                                 weights.min() >= -DEFAULT_SUPPORT_TOL)})
+                        "nonneg_weighting": _nonnegative(res.weights)})
     _report(args, "magnitude", args.seed, {"input": args.input, "t": list(args.t)},
             results)
 

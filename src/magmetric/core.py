@@ -256,7 +256,8 @@ def pairwise_distances(X: PointSet) -> np.ndarray:
     """Euclidean distance matrix; symmetric with a zero diagonal."""
     if len(X) == 0:
         raise ValueError("pairwise_distances needs a nonempty set")
-    return np.sqrt(_sq_distances(X.coords))
+    sq = _sq_distances(X.coords)
+    return np.sqrt(sq, out=sq)
 
 
 def dedupe(X: PointSet):

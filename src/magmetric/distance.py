@@ -1,20 +1,18 @@
 """Magnitude distance between point sets, the scale schedule, and checkers.
 
 The distance at scale t is 2*Mag(X u Y) - Mag(X) - Mag(Y); the normalized
-variant divides by Mag(X u Y). mag_distance and the training gradient share
-one pair geometry: one squared-distance matrix for the union, in a
-canonical row order so that swapping the arguments returns bit-identical
-numbers. Only zeta and the solves depend on t: consecutive calls on the
-same two PointSets share that matrix, the only n x n array in the pair's
-geometry (mmd_squared reads it too). zeta is built from its square root,
-which is bitwise cdist, by the magnitude layer's one builder, and Mag(X) and
-Mag(Y) are solved on principal blocks of it. mag_distance solves each
-magnitude once per scale: Mag(X) and Mag(Y) are kept on the sets and
-Mag(X u Y) with the pair's geometry, so a set in several pairs, or a scale
-asked twice, reuses its solve. The gradient keeps, per pair, its
-separation check, its inverse distances and that root, so a training pair
-takes one root for all of its scales; it solves all three magnitudes at
-every call and stores none, since training draws new sets at every step.
+variant divides by Mag(X u Y). mag_distance, the training gradient and
+mmd_squared read one pair geometry: the union's distance matrix, bitwise
+cdist, in a canonical row order so that a swap of the arguments returns
+bit-identical numbers. It is the pair's only n x n array, rooted once when
+it is built. Only zeta and the solves depend on t: zeta is built from that
+matrix by the magnitude layer's one builder, and Mag(X) and Mag(Y) are
+solved on principal blocks of it. mag_distance solves each magnitude once
+per scale: Mag(X) and Mag(Y) are kept on the sets and Mag(X u Y) with the
+pair's geometry, so a set in several pairs, or a scale asked twice, reuses
+its solve. The gradient keeps its separation check and inverse distances
+per pair; it solves all three magnitudes at every call and stores none,
+since training draws new sets at every step.
 """
 from __future__ import annotations
 
@@ -27,8 +25,8 @@ import numpy as np
 from .core import (PointSet, _block, _identity_memo, _require_same_dim, _sq_distances,
                    _unique_rows, symmetric_difference_count, union_sets)
 from .core import dedupe  # noqa: F401 - bound for bench/tracer.py, unused here
-from .magnitude import (DEFAULT_EPS_SEP, DEFAULT_SUPPORT_TOL, CholeskyFailure,
-                        CoincidentPoints, _gradient_rows, _inverse_distances,
+from .magnitude import (DEFAULT_EPS_SEP, CholeskyFailure, CoincidentPoints,
+                        _gradient_rows, _inverse_distances, _nonnegative,
                         _require_scale, _similarity, _solve_ones, magnitude)
 
 
@@ -129,20 +127,19 @@ class CrossPolytopeResult(NamedTuple):
 
 @_identity_memo
 def _union_geometry(X: PointSet, Y: PointSet):
-    """(union, sq, x_rows, y_rows, x_block, y_block, solved): the exact union
-    X u Y in canonical order (only the point set decides it, so a swap
-    changes nothing), its squared distance matrix, each point's union row,
-    the union rows of X's and Y's blocks: their distinct rows in
-    first-occurrence order, gathered with _block, and the pair's table
-    {t: (Mag(X u Y), weighting nonnegative)} that _pair_magnitudes fills.
-    sq is the only n x n array held: np.sqrt(sq) is bitwise
-    cdist(union, union), so the plain distances are derived where they are
-    read. The arrays are read-only, and all of it is computed once for
-    consecutive calls on a pair."""
+    """(union, dists, x_rows, y_rows, x_block, y_block, solved): the exact
+    union X u Y in canonical order (only the point set decides it, so a swap
+    changes nothing), its distance matrix, bitwise cdist(union, union) and
+    the only n x n array held, each point's union row, the union rows of X's
+    and Y's blocks: their distinct rows in first-occurrence order, gathered
+    with _block, and the pair's table {t: (Mag(X u Y), weighting
+    nonnegative)} that _pair_magnitudes fills. The arrays are read-only, and
+    all of it is computed once for consecutive calls on a pair."""
     _require_same_dim(X, Y)
     union, _, inverse = _unique_rows(np.concatenate([X.coords, Y.coords]))
     x_rows, y_rows = inverse[:len(X)], inverse[len(X):]
-    return (union, _sq_distances(union), x_rows, y_rows, _first_rows(x_rows),
+    sq = _sq_distances(union)
+    return (union, np.sqrt(sq, out=sq), x_rows, y_rows, _first_rows(x_rows),
             _first_rows(y_rows), {})
 
 
@@ -150,13 +147,6 @@ def _first_rows(rows: np.ndarray) -> np.ndarray:
     # distinct rows in first-occurrence order: the order magnitude() solves in
     _, first = np.unique(rows, return_index=True)
     return rows[np.sort(first)]
-
-
-def _zeta(sq: np.ndarray, t: float) -> np.ndarray:
-    """The similarity matrix in one buffer, bitwise np.exp(-t * np.sqrt(sq)):
-    the root, then zeta built in place in that buffer."""
-    dists = np.sqrt(sq)
-    return _similarity(dists, t, out=dists)
 
 
 def _solve(part: str, matrix: np.ndarray):
@@ -178,16 +168,16 @@ def _pair_magnitudes(geometry, X: PointSet, Y: PointSet, t: float):
     whatever the partner. zeta is built only when a solve is needed, and a
     failed solve raises and stores nothing.
     """
-    _, sq, _, _, x_block, y_block, solved = geometry
+    _, dists, _, _, x_block, y_block, solved = geometry
     t = float(t)
     zeta, values = None, []
     for part, table, block in (("union", solved, None), ("x", X._magnitudes, x_block),
                                ("y", Y._magnitudes, y_block)):
         if t not in table:
             if zeta is None:
-                zeta = _zeta(sq, t)
+                zeta = _similarity(dists, t)
             w, _, _, total = _solve(part, zeta if block is None else _block(zeta, block, block))
-            table[t] = (total, bool(w.size == 0 or w.min() >= -DEFAULT_SUPPORT_TOL))
+            table[t] = (total, _nonnegative(w))
         values.append(table[t])
     return values
 
@@ -238,17 +228,15 @@ def _separation_check(dists: np.ndarray, x_block: np.ndarray, y_rows: np.ndarray
 
 @_identity_memo
 def _gradient_geometry(X: PointSet, Y: PointSet):
-    """(dists, inv_u, inv_y): the union's plain distances, bitwise
-    np.sqrt(sq), from which every scale's zeta is built without another
-    root, and 1 / d from each point of Y to X u Y and to Y, 0 in its own
-    column. A pair that fails the separation check stores nothing; one
-    that passes has a duplicate-free Y, so y_block is y_rows and inv_y is
-    inv_u's columns y_rows."""
-    _, sq, _, y_rows, x_block, _, _ = _union_geometry(X, Y)
-    dists = np.sqrt(sq)
+    """(inv_u, inv_y): 1 / d from each point of Y to X u Y and to Y, 0 in
+    its own column, read off the pair's stored distances after the
+    separation check. A pair that fails the check stores nothing; one that
+    passes has a duplicate-free Y, so y_block is y_rows and inv_y is inv_u's
+    columns y_rows."""
+    _, dists, _, y_rows, x_block, _, _ = _union_geometry(X, Y)
     _separation_check(dists, x_block, y_rows)
     inv_u = _inverse_distances(dists, y_rows)
-    return dists, inv_u, inv_u.take(y_rows, 1)
+    return inv_u, inv_u.take(y_rows, 1)
 
 
 def _value_and_gradient(X: PointSet, Y: PointSet, t: float, normalized: bool):
@@ -259,8 +247,8 @@ def _value_and_gradient(X: PointSet, Y: PointSet, t: float, normalized: bool):
     is bitwise mag_distance(X, Y, t).distance, or .normalized.
     """
     _require_scale(t)
-    union, _, _, y_rows, x_block, y_block, _ = _union_geometry(X, Y)
-    dists, inv_u, inv_y = _gradient_geometry(X, Y)
+    union, dists, _, y_rows, x_block, y_block, _ = _union_geometry(X, Y)
+    inv_u, inv_y = _gradient_geometry(X, Y)
     # training draws new sets at every step, so it solves all three and
     # stores none; Y's block feeds both its solve and its gradient rows
     zeta = _similarity(dists, float(t))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -59,6 +60,9 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("epochs", "batch_real", "batch_gen", "seed"):
+            if not _is_list_of([getattr(self, name)], numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.epochs < 1 or self.batch_real < 1 or self.batch_gen < 1:
             raise ValueError("epochs and batch sizes must be positive")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):

@@ -113,12 +113,17 @@ def _solve_ones(zeta: np.ndarray):
     return w, residual, hint, float(w.sum())
 
 
-def _similarity(dists: np.ndarray, t: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """zeta = exp(-t * dists) in one buffer: `out`, which may be dists
-    itself, or a new one. The only place a similarity matrix is built."""
-    zeta = np.multiply(dists, -t, out=out)
+def _similarity(dists: np.ndarray, t: float) -> np.ndarray:
+    """zeta = exp(-t * dists) in one new buffer; dists is only read. The
+    only place a similarity matrix is built."""
+    zeta = np.multiply(dists, -t)
     np.exp(zeta, out=zeta)
     return zeta
+
+
+def _nonnegative(w: np.ndarray) -> bool:
+    """Whether no weight of w is below -DEFAULT_SUPPORT_TOL (true when empty)."""
+    return bool(w.size == 0 or w.min() >= -DEFAULT_SUPPORT_TOL)
 
 
 @_identity_memo
@@ -176,7 +181,8 @@ def magnitude_gradient(X: PointSet, t: float) -> np.ndarray:
     n = len(reps)
     if n <= 1:
         return np.zeros((n, X.dim))
-    masked = dists + np.diag(np.full(n, np.inf))  # ignore a point's distance to itself
+    masked = dists.copy()
+    np.fill_diagonal(masked, np.inf)  # ignore a point's distance to itself
     k = int(np.argmin(masked))
     if masked.flat[k] < DEFAULT_EPS_SEP:
         raise CoincidentPoints(k // n, k % n, float(masked.flat[k]))

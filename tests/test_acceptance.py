@@ -2,6 +2,7 @@
 [criterion NN] PASS/FAIL line each. Tolerances are pinned inline."""
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,7 +416,7 @@ def test_13_determinism(tmp_path, monkeypatch):
         path = os.path.join(tmp_path, name)
         write_rows(path, run_study("highdim", cfg))
         paths.append(path)
-    blobs = [open(p, "rb").read() for p in paths]
+    blobs = [Path(p).read_bytes() for p in paths]
     ok = blobs[0] == blobs[1] == blobs[2]
     _report(13, ok, f"rerun and 4-thread run byte-identical CSVs: {ok} "
             f"({len(blobs[0])} bytes)")

@@ -23,8 +23,8 @@ def test_mmd_bandwidth_validation():
 
 
 def test_kernel_gram_values():
-    # squared distances: 25 between (0, 0) and (3, 4), 0 from a point to itself
-    gauss = _gaussian_gram(np.array([[25.0]]), 2.0)
+    # distances: 5 between (0, 0) and (3, 4), 0 from a point to itself
+    gauss = _gaussian_gram(np.array([[5.0]]), 2.0)
     assert gauss[0, 0] == pytest.approx(math.exp(-25.0 / 8.0), rel=1e-15)
     assert _gaussian_gram(np.array([[0.0]]), 0.5)[0, 0] == 1.0
 

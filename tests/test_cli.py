@@ -2,6 +2,7 @@
 import importlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import magmetric.cli
 from magmetric.cli import main
 from magmetric.core import (PointSet, RngState, fmt17, read_point_csv, sample_gaussian,
                             write_point_csv)
+from magmetric.distance import mag_distance
 from magmetric.maggn import init_generator, save_checkpoint
 from magmetric.magnitude import magnitude
 
@@ -52,6 +54,19 @@ def test_magnitude_json_envelope(csvs, capsys):
     assert blob["params"] == {"input": x, "t": [1.0, 2.0]}
     assert len(blob["results"]) == 2
     assert set(blob["results"][0]) == {"t", "magnitude", "residual", "nonneg_weighting"}
+
+
+def test_magnitude_flags_a_negative_weighting(tmp_path, capsys):
+    # this set's weighting dips to -0.22 at t = 0.01 and is positive at t = 1
+    points = sample_gaussian(RngState(0), 20, 5)
+    path = str(tmp_path / "p.csv")
+    write_point_csv(path, points)
+    code, out, _ = run_cli(capsys, "magnitude", "--input", path,
+                           "--t", "0.01", "--t", "1", "--json")
+    assert code == 0
+    flags = [r["nonneg_weighting"] for r in json.loads(out)["results"]]
+    assert flags == [False, True]
+    assert flags == [mag_distance(points, points, t).nonneg_weightings[0] for t in (0.01, 1.0)]
 
 
 def test_distance_text_and_bound(csvs, capsys):
@@ -310,7 +325,7 @@ def test_experiment_subcommand_deterministic(tmp_path, capsys):
     args[4] = out2
     code, _, _ = run_cli(capsys, *args)
     assert code == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
     assert os.path.exists(out1 + ".summary.json")
 
 
@@ -327,7 +342,7 @@ def test_experiment_config_file_and_flag_precedence(tmp_path, capsys):
     blob = json.loads(text)
     assert blob["results"]["config"]["trials"] == 2      # flag wins
     assert blob["results"]["config"]["n_per_set"] == 30  # file survives
-    rows = open(out).read().splitlines()
+    rows = Path(out).read_text().splitlines()
     assert rows[0] == "study,method,dim,trial,param,value,error"
 
 
@@ -359,7 +374,7 @@ def test_maggn_train_sample_round_trip(tmp_path, capsys):
     ckpt = os.path.join(outdir, "checkpoint.json")
     log = os.path.join(outdir, "train_log.csv")
     assert os.path.exists(ckpt) and os.path.exists(log)
-    assert open(log).read().splitlines()[0] == \
+    assert Path(log).read_text().splitlines()[0] == \
         "epoch,active_scales,loss,grad_norm,seconds"
 
     # identical rerun gives a byte-identical checkpoint
@@ -368,8 +383,8 @@ def test_maggn_train_sample_round_trip(tmp_path, capsys):
             "--schedule", "0.5@1,1.5@4", "--epochs", "6", "--out", outdir2,
             "--lr", "0.01", "--batch-real", "32", "--batch-gen", "32",
             "--seed", "5")
-    assert open(ckpt, "rb").read() == \
-        open(os.path.join(outdir2, "checkpoint.json"), "rb").read()
+    assert Path(ckpt).read_bytes() == \
+        Path(outdir2, "checkpoint.json").read_bytes()
 
     code, out, _ = run_cli(capsys, "maggn", "sample", "--out", outdir,
                            "--n", "15", "--seed", "5")

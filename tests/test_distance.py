@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import magmetric.distance
 import magmetric.maggn
@@ -375,16 +376,24 @@ def test_train_builds_one_geometry_per_attempt(sq_calls, monkeypatch):
 
 def test_geometry_is_read_only():
     x, y = _pair(24, n=6, dim=2)
-    union, sq, x_rows, y_rows, x_block, y_block, _ = _union_geometry(x, y)
-    dists, inv_u, inv_y = _gradient_geometry(x, y)
-    for arr in (union, sq, x_rows, y_rows, x_block, y_block, dists, inv_u, inv_y):
+    union, dists, x_rows, y_rows, x_block, y_block, _ = _union_geometry(x, y)
+    inv_u, inv_y = _gradient_geometry(x, y)
+    for arr in (union, dists, x_rows, y_rows, x_block, y_block, inv_u, inv_y):
         assert arr.size
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = arr.flat[0]
 
 
+def test_distance_pair_takes_one_root(roots):
+    # the pair stores its plain distances, so no scale takes another root
+    x, y = _pair(28, n=9, dim=2)
+    for t in (0.1, 0.5, 1.5, 3.0):
+        mag_distance(x, y, t)
+    assert roots == [(len(union_sets(x, y)),) * 2]
+
+
 def test_training_pair_takes_one_root_and_gathers_y_once_per_scale(roots, blocks):
-    # the gradient path keeps the pair's plain distances and builds every
+    # the gradient path reads the pair's stored distances and builds every
     # scale's zeta from them; each zeta block it solves is the one it reads
     x, y = _pair(26, n=9, dim=2)
     scales = (0.5, 1.5, 3.0)
@@ -404,22 +413,24 @@ def test_inverse_distances_to_y_are_a_column_gather():
     y = sample_gaussian(rng.derive(1), 6, 3, mean=0.5)
     x_dup = PointSet(np.vstack([x.coords, x.coords[[5, 0, 5]]]))
     for data in (x, x_dup):
-        _, sq, _, y_rows, _, y_block, _ = _union_geometry(data, y)
-        dists, inv_u, inv_y = _gradient_geometry(data, y)
-        assert dists.tobytes() == np.sqrt(sq).tobytes()
+        union, _, _, y_rows, _, y_block, _ = _union_geometry(data, y)
+        inv_u, inv_y = _gradient_geometry(data, y)
+        d = cdist(union, union)
         assert y_block.tobytes() == y_rows.tobytes()
-        want = _inverse_distances(_block(np.sqrt(sq), y_block, y_block), np.arange(len(y)))
+        want = _inverse_distances(_block(d, y_block, y_block), np.arange(len(y)))
         assert inv_y.tobytes() == want.tobytes()
-        assert inv_u.tobytes() == _inverse_distances(np.sqrt(sq), y_rows).tobytes()
+        assert inv_u.tobytes() == _inverse_distances(d, y_rows).tobytes()
         assert np.all(np.diag(inv_y) == 0.0)
 
 
 def test_pair_geometry_holds_one_square_matrix():
-    # only the squared distances are stored; the plain ones are derived per read
+    # only the plain distances are stored, and training keeps no other copy
     x, y = _pair(25, n=7, dim=3)
+    multiscale_loss(x, y, (0.5, 1.0, 1.5))
     geometry = _union_geometry(x, y)
     n = len(union_sets(x, y))
-    square = [a for a in geometry if isinstance(a, np.ndarray) and a.shape == (n, n)]
+    held = [a for a in (*geometry, *_gradient_geometry(x, y)) if isinstance(a, np.ndarray)]
+    square = [a for a in held if a.shape == (n, n)]
     assert len(square) == 1 and square[0].dtype == np.float64
     assert square[0] is geometry[1]
 

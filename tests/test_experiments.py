@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ def test_csv_format(tmp_path):
     cfg = config_from_dict("outlier2d", {}, trials=1, n_per_set=40)
     rows = run_study("outlier2d", cfg)
     write_rows(path, rows)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert b"\r" not in raw
     lines = raw.decode().splitlines()
     assert lines[0] == CSV_HEADER
@@ -206,7 +207,7 @@ def test_outlier2d_builds_one_geometry_per_pair(sq_calls):
 
 def test_highdim_builds_one_geometry_per_cell(sq_calls):
     # both MMD bandwidths and the four magnitude rows of a cell read one
-    # squared-distance matrix of its union (|X u Y| = 40); one cell per dim
+    # distance matrix of its union (|X u Y| = 40); one cell per dim
     rows = run_study("highdim", config_from_dict("highdim", {}, trials=1, n_per_set=20))
     assert len(rows) == 5 * 7
     assert sq_calls == [40] * 5
@@ -251,7 +252,7 @@ def test_summarize_shape_and_stats(tmp_path):
     spath = summary_path(str(tmp_path / "h.csv"))
     assert spath.endswith("h.csv.summary.json")
     write_summary(spath, rows)
-    loaded = json.load(open(spath))
+    loaded = json.loads(Path(spath).read_text())
     assert loaded["huber"][some_method]["5"][first_param]["count"] == 3
 
 
@@ -306,7 +307,7 @@ def test_failed_solve_gives_nan_rows(study, monkeypatch, tmp_path, capsys):
     assert main(["experiment", "--study", study, "--out", out,
                  "--config", str(cfg_path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["failed_rows"] == len(failed)
-    lines = open(out).read().splitlines()[1:]
+    lines = Path(out).read_text().splitlines()[1:]
     assert all(len(line.split(",")) == 7 for line in lines)
     assert sum(line.endswith("near-duplicate points") for line in lines) == len(failed)
 

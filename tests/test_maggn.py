@@ -2,6 +2,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +100,14 @@ def test_train_config_validation():
             TrainConfig(schedule=small_schedule(), learning_rate=bad)
     with pytest.raises(ValueError, match="batch sizes"):
         TrainConfig(schedule=small_schedule(), batch_gen=0)
+    # counts and the seed are integers: bools and floats are refused at
+    # construction, numpy integers are kept
+    for name in ("epochs", "batch_real", "batch_gen", "seed"):
+        for bad in (True, False, 2.5, 2.0, "2", None):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                TrainConfig(schedule=small_schedule(), **{name: bad})
+        assert getattr(TrainConfig(schedule=small_schedule(), **{name: np.int64(3)}),
+                       name) == 3
 
 
 def test_zero_learning_rate_freezes_parameters():
@@ -191,7 +200,7 @@ def test_train_log_csv_format(tmp_path):
     _, log = train(init_generator(RngState(1), (2, 4, 2)), data, cfg)
     path = str(tmp_path / "log.csv")
     log.to_csv(path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == TRAIN_LOG_HEADER
     assert TRAIN_LOG_HEADER == "epoch,active_scales,loss,grad_norm,seconds"
     assert len(lines) == 4
@@ -212,8 +221,8 @@ def test_checkpoint_round_trip(tmp_path):
     for b1, b2 in zip(back.biases, gen.biases):
         assert np.array_equal(b1, b2)
     save_checkpoint(back, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
-    blob = json.load(open(p1))
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
+    blob = json.loads(Path(p1).read_text())
     assert blob["format_version"] == 1
 
 
@@ -221,14 +230,14 @@ def test_checkpoint_rejects_bad_blobs(tmp_path):
     path = str(tmp_path / "bad.json")
     gen = init_generator(RngState(1), (2, 3, 2))
     save_checkpoint(gen, path)
-    blob = json.load(open(path))
+    blob = json.loads(Path(path).read_text())
     blob["format_version"] = 99
-    json.dump(blob, open(path, "w"))
+    Path(path).write_text(json.dumps(blob))
     with pytest.raises(ValueError):
         load_checkpoint(path)
     blob["format_version"] = 1
     blob["layers"][0]["weights"] = [1.0, 2.0]  # wrong length
-    json.dump(blob, open(path, "w"))
+    Path(path).write_text(json.dumps(blob))
     with pytest.raises(ValueError):
         load_checkpoint(path)
 
@@ -237,16 +246,16 @@ def test_checkpoint_rejects_what_init_rejects(tmp_path):
     path = str(tmp_path / "bad.json")
     with pytest.raises(ValueError, match="layer dims must be positive"):
         init_generator(RngState(1), (2, 0, 2))
-    json.dump({"format_version": 1, "layer_dims": [2, 0, 2],
-               "layers": [{"weights": [], "biases": []},
-                          {"weights": [], "biases": [1.5, -2.0]}]}, open(path, "w"))
+    Path(path).write_text(json.dumps({"format_version": 1, "layer_dims": [2, 0, 2],
+                                      "layers": [{"weights": [], "biases": []},
+                                                 {"weights": [], "biases": [1.5, -2.0]}]}))
     with pytest.raises(ValueError, match="layer dims must be positive"):
         load_checkpoint(path)
     gen = init_generator(RngState(1), (2, 3, 2))
     save_checkpoint(gen, path)
-    blob = json.load(open(path))
+    blob = json.loads(Path(path).read_text())
     blob["layers"][1]["biases"][0] = math.inf  # json writes Infinity
-    json.dump(blob, open(path, "w"))
+    Path(path).write_text(json.dumps(blob))
     with pytest.raises(ValueError, match="parameters must be finite"):
         load_checkpoint(path)
 

@@ -12,8 +12,8 @@ from scipy.spatial.distance import cdist
 from magmetric.baselines import mmd_squared
 from magmetric.core import (PointSet, RngState, _block, dedupe, pairwise_distances,
                             sample_gaussian)
-from magmetric.distance import _union_geometry, _value_and_gradient, _zeta, mag_distance
-from magmetric.magnitude import magnitude, magnitude_gradient
+from magmetric.distance import _union_geometry, _value_and_gradient, mag_distance
+from magmetric.magnitude import _similarity, magnitude, magnitude_gradient
 
 DISTANCE = importlib.import_module("magmetric.distance")
 MAGNITUDE = importlib.import_module("magmetric.magnitude")
@@ -121,22 +121,16 @@ def test_training_value_is_mag_distance(sets, t):
     assert _bits(_value_and_gradient(x, y, t, False)[0]) == _bits(rep.distance)
 
 
-def _sq_cdist(a, b):
-    return cdist(a, b, "sqeuclidean")
-
-
 @SETTINGS
 @given(pairs(wide=True))
 def test_distance_matrices_are_cdist_bitwise(sets):
     x, y, _, _ = sets
-    union, sq, x_rows, y_rows, _, _, _ = _union_geometry(x, y)
-    assert sq.tobytes() == _sq_cdist(union, union).tobytes()
-    # the plain distances are derived where they are read, from the one matrix
-    assert np.sqrt(sq).tobytes() == cdist(union, union).tobytes()
+    union, dists, x_rows, y_rows, _, _, _ = _union_geometry(x, y)
+    assert dists.tobytes() == cdist(union, union).tobytes()
     # gathered through the union rows, duplicates and signed zeros included
     both = np.concatenate([x.coords, y.coords])
     rows = np.concatenate([x_rows, y_rows])
-    assert sq[np.ix_(rows, rows)].tobytes() == _sq_cdist(both, both).tobytes()
+    assert dists[np.ix_(rows, rows)].tobytes() == cdist(both, both).tobytes()
     for s in (x, y):
         assert pairwise_distances(s).tobytes() == cdist(s.coords, s.coords).tobytes()
 
@@ -145,8 +139,10 @@ def test_distance_matrices_are_cdist_bitwise(sets):
 @given(pairs(wide=True), st.sampled_from((1e-6, 0.1, 1.0, 1e3)))
 def test_zeta_in_one_buffer_is_exp_of_distances(sets, t):
     x, y, _, _ = sets
-    sq = _union_geometry(x, y)[1]
-    assert _zeta(sq, t).tobytes() == np.exp(-t * np.sqrt(sq)).tobytes()
+    union, dists = _union_geometry(x, y)[:2]
+    d = cdist(union, union)
+    assert _similarity(dists, t).tobytes() == np.exp(-t * d).tobytes()
+    assert dists.tobytes() == d.tobytes()  # the stored distances are only read
 
 
 def _solver_inputs(module, fn, *args):
@@ -168,8 +164,8 @@ def test_solved_zetas_are_bitwise_symmetric(sets, t):
     # the factor reads zeta's upper triangle through zeta.T, which is the
     # lower one only if every solved zeta equals its transpose bit for bit
     x, y, _, _ = sets
-    _, sq, _, _, x_block, y_block, _ = _union_geometry(x, y)
-    zeta = _zeta(sq, t)
+    union, _, _, _, x_block, y_block, _ = _union_geometry(x, y)
+    zeta = np.exp(-t * cdist(union, union))
     blocks = [_block(zeta, b, b) for b in (x_block, y_block)]
     assert [z.tobytes() for z in _solver_inputs(DISTANCE, mag_distance, x, y, t)] == \
         [z.tobytes() for z in [zeta, *blocks]]
@@ -204,10 +200,10 @@ def test_gradient_zetas_come_from_the_one_builder(sets, t):
 def test_mmd_is_three_cdist_reference(sets, width):
     x, y, _, _ = sets
     xs, ys = x.coords, y.coords
-    sigma = width * (float(np.sqrt(_sq_cdist(xs, ys).max())) or 1.0)
+    sigma = width * (float(cdist(xs, ys).max()) or 1.0)
 
     def mean_gram(a, b):
-        return np.exp(-_sq_cdist(a, b) / (2.0 * sigma**2)).mean()
+        return np.exp(-cdist(a, b)**2 / (2.0 * sigma**2)).mean()
 
     want = float(mean_gram(xs, xs) + mean_gram(ys, ys) - 2.0 * mean_gram(xs, ys))
     assert _bits(mmd_squared(x, y, sigma)) == _bits(want)
