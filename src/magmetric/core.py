@@ -46,10 +46,22 @@ def mix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _is_int(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _require_int(value, name: str, low: int | None = None) -> None:
+    """Raise ValueError naming `name` unless value is an integer at least `low`."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+
+
 def _require_count(count) -> None:
-    """Raise ValueError unless count is a nonnegative integer (bools are not)."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-        raise ValueError(f"count must be an integer, got {count!r}")
+    """Raise ValueError unless count is a nonnegative integer."""
+    _require_int(count, "count")
     if count < 0:
         raise ValueError("count must be nonnegative")
 
@@ -299,10 +311,8 @@ def sample_gaussian(rng: RngState, n: int, dim: int, mean=0.0, std: float = 1.0)
     i*dim .. (i+1)*dim-1 of the stream (row-major), so the layout is part
     of the reproducibility contract.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    _require_int(n, "n", 1)
+    _require_int(dim, "dim", 1)
     if std <= 0:
         raise ValueError("std must be positive")
     z = rng.normals(n * dim).reshape(n, dim)
@@ -313,11 +323,11 @@ def read_point_csv(path, skip_header: bool = False) -> PointSet:
     """Load a point set: one point per line, comma-separated floats.
 
     Fully blank lines are skipped; anything else malformed raises
-    PointCsvError naming the 1-based line.
+    PointCsvError naming the 1-based line. A leading UTF-8 BOM is skipped.
     """
     rows: list[list[float]] = []
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if lineno == 1 and skip_header:
                 continue

@@ -22,8 +22,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import (PointSet, _block, _identity_memo, _require_same_dim, _sq_distances,
-                   _unique_rows, symmetric_difference_count, union_sets)
+from .core import (PointSet, _block, _identity_memo, _require_int, _require_same_dim,
+                   _sq_distances, _unique_rows, symmetric_difference_count, union_sets)
 from .core import dedupe  # noqa: F401 - bound for bench/tracer.py, unused here
 from .magnitude import (DEFAULT_EPS_SEP, CholeskyFailure, CoincidentPoints,
                         _gradient_rows, _inverse_distances, _nonnegative,
@@ -296,8 +296,7 @@ def cross_polytope_counterexample(dim: int, t: float,
     collapses both solves to closed forms; dim=500 is immediate. With
     full_verify the dense solver reruns both magnitudes as a cross-check.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    _require_int(dim, "dim", 1)
     _require_scale(t)
     m = 2 * dim
     a = math.exp(-2.0 * t)             # antipodal vertices, distance 2

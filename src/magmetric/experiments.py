@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .baselines import mmd_squared, sliced_wasserstein
-from .core import PointSet, RngState, _is_list_of, fmt17, sample_gaussian
-from .distance import mag_distance
+from .core import PointSet, RngState, _is_list_of, _require_int, fmt17, sample_gaussian
+from .distance import DistanceReport, mag_distance
 from .magnitude import CholeskyFailure, _require_scale
 
 CSV_HEADER = "study,method,dim,trial,param,value,error"
@@ -67,8 +67,7 @@ class StudyConfig:
 
     def __post_init__(self):
         for name in ("seed", "n_per_set", "trials"):
-            if not _is_list_of([getattr(self, name)], numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            _require_int(getattr(self, name), name)
         for name, (kind, cast) in _LIST_FIELDS.items():
             value = getattr(self, name)
             if not _is_list_of(value, kind):
@@ -141,27 +140,18 @@ def _shifted_pair(cfg: StudyConfig, rng: RngState, dim: int, shift: float):
     return x, sample_gaussian(rng, cfg.n_per_set, dim, mu)
 
 
-def _distance(a: PointSet, b: PointSet, t: float):
-    """mag_distance(a, b, t), or the CholeskyFailure its solve raised."""
+# what a trial reads in place of a failed solve's report: every value NaN
+_FAILED = DistanceReport(*[math.nan] * 6, (False, False, False), math.nan)
+
+
+def _distance(a: PointSet, b: PointSet, t: float) -> tuple[DistanceReport, str]:
+    """(mag_distance(a, b, t), ""), or (_FAILED, "Type: message") when its
+    solve raises CholeskyFailure; the message's commas become ';' so the CSV
+    keeps its seven fields."""
     try:
-        return mag_distance(a, b, t)
+        return mag_distance(a, b, t), ""
     except CholeskyFailure as exc:
-        return exc
-
-
-def _rows(keys, pick, *reports) -> list[tuple]:
-    """Rows (method, param, value, error) for the (method, param) `keys`.
-
-    The values are `pick(*reports)`. If a report is a failed solve, every key
-    gets a NaN row whose error reads `Type: message` of the first failure,
-    with commas turned into ';' so the CSV keeps its seven fields.
-    """
-    for rep in reports:
-        if isinstance(rep, CholeskyFailure):
-            error = f"{type(rep).__name__}: {rep}".replace(",", ";").replace("\n", " ")
-            return [(method, param, math.nan, error) for method, param in keys]
-    return [(method, param, value, "")
-            for (method, param), value in zip(keys, pick(*reports))]
+        return _FAILED, f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
 
 
 def _check_tsweep(cfg: StudyConfig) -> None:
@@ -178,8 +168,9 @@ def _tsweep_trial(cfg: StudyConfig, rng: RngState, dim: int, shift: float) -> li
     rows = []
     for t in cfg.scales:
         param = f"mu={fmt17(shift)};t={fmt17(t)}"
-        rows += _rows([("magdist", param), ("magdist_norm", param)],
-                      lambda rep: (rep.distance, rep.normalized), _distance(x, y, t))
+        rep, error = _distance(x, y, t)
+        rows += [("magdist", param, rep.distance, error),
+                 ("magdist_norm", param, rep.normalized, error)]
     return rows
 
 
@@ -207,8 +198,8 @@ def _highdim_trial(cfg: StudyConfig, rng: RngState, dim: int, shift: float) -> l
         else:
             scale_plan.append(("magdist_norm[t=1/sqrt(D)]", recommend_scale(dim)))
     for label, t in scale_plan:
-        rows += _rows([(label, f"t={fmt17(t)}")], lambda rep: [rep.normalized],
-                      _distance(x, y, t))
+        rep, error = _distance(x, y, t)
+        rows.append((label, f"t={fmt17(t)}", rep.normalized, error))
     return rows
 
 
@@ -218,15 +209,6 @@ def _check_outlier2d(cfg: StudyConfig) -> None:
     if not cfg.scales:
         raise ValueError("outlier2d needs scales")
     _require_distinct(cfg, "scales")
-
-
-def _pair_keys(method: str) -> list[tuple]:
-    return [(method, f"pair={tag}") for tag in ("clean", "noisy", "relchange")]
-
-
-def _clean_noisy_change(clean: float, noisy: float) -> tuple:
-    rel = abs(noisy - clean) / clean if clean != 0 else float("nan")
-    return clean, noisy, rel
 
 
 def _outlier2d_trial(cfg: StudyConfig, rng: RngState, dim: int, _) -> list:
@@ -243,19 +225,22 @@ def _outlier2d_trial(cfg: StudyConfig, rng: RngState, dim: int, _) -> list:
                             OUTLIER2D_NOISE_STD)
     y_star = PointSet(np.vstack([y.coords, noise.coords]))
     # each pair at all of its scales in a row, so each builds one geometry; a
-    # scale whose clean solve failed skips the noisy one and keeps its error
+    # scale whose clean solve failed skips the noisy solve and keeps the clean
+    # failure, so `error` is the scale's first failure, and a failure in
+    # either pair makes all three of its rows NaN
     clean = [_distance(base, y, t) for t in cfg.scales]
-    noisy = [c if isinstance(c, CholeskyFailure) else _distance(base, y_star, t)
-             for c, t in zip(clean, cfg.scales)]
-    rows = []
-    for t, *reports in zip(cfg.scales, clean, noisy):
-        rows += _rows(_pair_keys(f"magdist[t={format(t, 'g')}]"),
-                      lambda c, n: _clean_noisy_change(c.distance, n.distance), *reports)
+    noisy = [(rep, error) if error else _distance(base, y_star, t)
+             for (rep, error), t in zip(clean, cfg.scales)]
+    pairs = [(f"magdist[t={format(t, 'g')}]", math.nan if error else c.distance,
+              n.distance, error) for t, (c, _), (n, error) in zip(cfg.scales, clean, noisy)]
     sw_clean = sliced_wasserstein(base, y, SW_PROJECTIONS, rng=rng)
     sw_noisy = sliced_wasserstein(base, y_star, SW_PROJECTIONS, rng=rng)
-    for (method, param), val in zip(_pair_keys("sliced_wasserstein"),
-                                    _clean_noisy_change(sw_clean, sw_noisy)):
-        rows.append((method, param, val, ""))
+    pairs.append(("sliced_wasserstein", sw_clean, sw_noisy, ""))
+    rows = []
+    for method, c, n, error in pairs:
+        rel = abs(n - c) / c if c != 0 else math.nan
+        rows += [(method, f"pair={tag}", value, error)
+                 for tag, value in (("clean", c), ("noisy", n), ("relchange", rel))]
     return rows
 
 
@@ -295,8 +280,8 @@ def _huber_trial(cfg: StudyConfig, rng: RngState, dim: int, eps: float) -> list:
         for method, t, field in (
                 (f"magdist[t={format(t_std, 'g')}]", t_std, "distance"),
                 (f"magdist_norm[t={format(t_norm, 'g')}]", t_norm, "normalized")):
-            rows += _rows([(method, param)], lambda rep: [getattr(rep, field)],
-                          _distance(clean, contaminated, t))
+            rep, error = _distance(clean, contaminated, t)
+            rows.append((method, param, getattr(rep, field), error))
     return rows
 
 

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DimensionMismatch, PointSet, RngState, _is_list_of, fmt17
+from .core import (DimensionMismatch, PointSet, RngState, _is_int, _is_list_of,
+                   _require_int, fmt17)
 from .distance import ScaleSchedule, _value_and_gradient
 from .magnitude import CoincidentPoints
 
@@ -61,8 +61,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "batch_real", "batch_gen", "seed"):
-            if not _is_list_of([getattr(self, name)], numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            _require_int(getattr(self, name), name)
         if self.epochs < 1 or self.batch_real < 1 or self.batch_gen < 1:
             raise ValueError("epochs and batch sizes must be positive")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
@@ -109,7 +108,10 @@ def init_generator(rng: RngState, layer_dims) -> Generator:
     mapped to (-lim, lim] with lim = sqrt(6/(fan_in+fan_out)); biases burn
     no draws. Layer order front to back.
     """
-    dims = tuple(int(d) for d in layer_dims)
+    dims = tuple(layer_dims)
+    if not all(map(_is_int, dims)):
+        raise ValueError(f"layer_dims must be integers, got {dims!r}")
+    dims = tuple(map(int, dims))
     _check_generator(dims)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims, dims[1:]):
@@ -254,8 +256,7 @@ def train(gen: Generator, data: PointSet, config: TrainConfig):
 
 def sample(gen: Generator, rng: RngState, n: int) -> PointSet:
     """n generated points from fresh reference draws."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_int(n, "n", 1)
     z = rng.normals(n * gen.z_dim).reshape(n, gen.z_dim)
     return PointSet(_forward(gen, z)[0])
 

@@ -186,7 +186,7 @@ def magnitude_gradient(X: PointSet, t: float) -> np.ndarray:
     k = int(np.argmin(masked))
     if masked.flat[k] < DEFAULT_EPS_SEP:
         raise CoincidentPoints(k // n, k % n, float(masked.flat[k]))
+    inv = np.divide(1.0, masked, out=masked)  # 1 / d, 0 on the diagonal
     zeta = _similarity(dists, t)
     w = _solve_ones(zeta)[0]
-    rows = np.arange(n)
-    return _gradient_rows(reps.coords, zeta, _inverse_distances(dists, rows), w, t, rows)
+    return _gradient_rows(reps.coords, zeta, inv, w, t, np.arange(n))

@@ -259,6 +259,16 @@ def test_sample_gaussian_layout_and_moments():
                        atol=1e-15)
 
 
+@pytest.mark.parametrize("n, dim, name, bad", [
+    (True, 2, "n", True), (2.5, 2, "n", 2.5), (2, 2.0, "dim", 2.0)])
+def test_sample_gaussian_refuses_a_size_that_is_not_an_integer(n, dim, name, bad):
+    # a ValueError naming the argument, not the draw count n * dim
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {bad!r}$"):
+        sample_gaussian(RngState(1), n, dim)
+    assert np.array_equal(sample_gaussian(RngState(1), np.int64(3), np.int64(2)).coords,
+                          sample_gaussian(RngState(1), 3, 2).coords)
+
+
 def test_point_csv_roundtrip(tmp_path):
     path = os.path.join(tmp_path, "pts.csv")
     pts = sample_gaussian(RngState(4), 17, 3)
@@ -279,6 +289,25 @@ def test_point_csv_header_and_blank_lines(tmp_path):
     assert pts.coords.tolist() == [[1.0, 2.0], [3.0, 4.0]]
     with pytest.raises(PointCsvError):
         read_point_csv(path)  # header not skipped -> parse failure
+
+
+def test_point_csv_reads_a_utf8_byte_order_mark(tmp_path):
+    # "CSV UTF-8" exporters start the file with U+FEFF
+    plain = tmp_path / "plain.csv"
+    plain.write_text("1.0,2.0\n3.0,4.0\n", encoding="utf-8")
+    bom = tmp_path / "bom.csv"
+    bom.write_text("\ufeff1.0,2.0\n3.0,4.0\n", encoding="utf-8")
+    assert np.array_equal(read_point_csv(bom).coords, read_point_csv(plain).coords)
+    header = tmp_path / "header.csv"
+    header.write_text("\ufeffx,y\n1.0,2.0\n3.0,4.0\n", encoding="utf-8")
+    assert np.array_equal(read_point_csv(header, skip_header=True).coords,
+                          read_point_csv(plain).coords)
+    # only a leading mark is an encoding marker; anywhere else it is data
+    inner = tmp_path / "inner.csv"
+    inner.write_text("1.0,2.0\n\ufeff3.0,4.0\n", encoding="utf-8")
+    with pytest.raises(PointCsvError) as err:
+        read_point_csv(inner)
+    assert err.value.line == 2
 
 
 def test_point_csv_error_line_numbers(tmp_path):

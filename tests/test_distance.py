@@ -268,6 +268,15 @@ def test_cross_polytope_extreme_scales(dim, t):
     assert res.gap == pytest.approx(1.0 if t > 1.0 else 0.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("dim", [2.5, 2.0, True, "2"])
+def test_cross_polytope_refuses_a_dim_that_is_not_an_integer(dim):
+    # a cross-polytope has 2 * dim vertices, so dim=2.5 has no meaning
+    with pytest.raises(ValueError, match=rf"^dim must be an integer, got {dim!r}$"):
+        cross_polytope_counterexample(dim, 1.0)
+    assert cross_polytope_counterexample(np.int64(2), 1.0) == \
+        cross_polytope_counterexample(2, 1.0)
+
+
 def test_cross_polytope_high_dim_violation():
     res = cross_polytope_counterexample(500, 5.0)
     assert res.gap == pytest.approx(7.18, abs=0.05)

@@ -30,6 +30,10 @@ STUDY_CASES = {
     "huber": (dict(epsilons=(0.05,), radii=(10.0, 100.0), **SMALL), 0.1, 1),
 }
 
+# experiments.mag_distance calls per run at the STUDY_CASES sizes; the bench
+# times each call of that name, so its per-call numbers need these fixed
+MAG_DISTANCE_CALLS = {"tsweep": 8, "highdim": 16, "outlier2d": 8, "huber": 8}
+
 
 def test_study_names_and_defaults():
     names = study_names()
@@ -310,6 +314,45 @@ def test_failed_solve_gives_nan_rows(study, monkeypatch, tmp_path, capsys):
     lines = Path(out).read_text().splitlines()[1:]
     assert all(len(line.split(",")) == 7 for line in lines)
     assert sum(line.endswith("near-duplicate points") for line in lines) == len(failed)
+
+
+def test_outlier2d_noisy_failure_fails_the_whole_scale(monkeypatch):
+    # only the noisy pair fails, at t=5: all three of that scale's rows are
+    # NaN with its error, the clean row included; t=20 and sliced W keep theirs
+    cfg = config_from_dict("outlier2d", {}, trials=1, n_per_set=30)
+    clean = run_study("outlier2d", cfg)
+    real = experiments.mag_distance
+
+    def failing(x, y, t):
+        if t == 5.0 and len(y) > cfg.n_per_set:
+            raise CholeskyFailure("noisy union at pivot 7, near-duplicate points", 7)
+        return real(x, y, t)
+
+    monkeypatch.setattr(experiments, "mag_distance", failing)
+    rows = run_study("outlier2d", cfg)
+    assert len(rows) == len(clean)
+    assert sum(r.method == "magdist[t=5]" for r in rows) == 3
+    for r, c in zip(rows, clean):
+        if r.method == "magdist[t=5]":
+            assert math.isnan(r.value)
+            assert r.error == "CholeskyFailure: noisy union at pivot 7; near-duplicate points"
+        else:
+            assert r == c
+
+
+@pytest.mark.parametrize("study", sorted(STUDY_CASES))
+def test_mag_distance_calls_per_study(study, monkeypatch):
+    cfg = config_from_dict(study, STUDY_CASES[study][0])
+    real = experiments.mag_distance
+    calls = []
+
+    def counting(x, y, t):
+        calls.append(t)
+        return real(x, y, t)
+
+    monkeypatch.setattr(experiments, "mag_distance", counting)
+    run_study(study, cfg)
+    assert len(calls) == MAG_DISTANCE_CALLS[study]
 
 
 def test_study_bytes_independent_of_blas_threads(tmp_path):

@@ -44,6 +44,11 @@ def test_init_rejects_bad_dims():
         init_generator(RngState(1), (4,))
     with pytest.raises(ValueError):
         init_generator(RngState(1), (4, 0, 2))
+    # a size is not truncated or read from a bool: (2, 32.7, 2) is not (2, 32, 2)
+    for dims in ((2, 32.7, 2), (2, True, 2), (2.0, 4, 2), (2, "4", 2)):
+        with pytest.raises(ValueError, match="layer_dims must be integers"):
+            init_generator(RngState(1), dims)
+    assert init_generator(RngState(1), (np.int64(2), 4, 2)).layer_dims == (2, 4, 2)
 
 
 def test_forward_linear_output_layer():
@@ -266,6 +271,16 @@ def test_sample_shape_and_determinism():
     assert pts.coords.shape == (25, 2)
     again = sample(gen, RngState(10), 25)
     assert np.array_equal(pts.coords, again.coords)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True])
+def test_sample_refuses_a_count_that_is_not_an_integer(n):
+    # the error names n, not the draw count n * z_dim
+    gen = init_generator(RngState(6), (2, 4, 2))
+    with pytest.raises(ValueError, match=rf"^n must be an integer, got {n!r}$"):
+        sample(gen, RngState(10), n)
+    assert np.array_equal(sample(gen, RngState(10), np.int64(3)).coords,
+                          sample(gen, RngState(10), 3).coords)
 
 
 def test_decreasing_schedule_warns():

@@ -1,6 +1,7 @@
 """Magnitude solves, weightings, gradients, scale checks."""
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,21 @@ def test_gradient_rejects_coincident_points():
         magnitude_gradient(pts, 1.0)
     assert err.value.pair == (0, 1)
     assert err.value.distance < 1e-9
+
+
+def test_gradient_takes_one_copy_of_the_distances():
+    # the masked copy of the stored distances becomes 1 / d in place, so the
+    # call holds four n x n arrays at most: that copy, zeta, its factor and
+    # the gradient rows' buffer
+    x = sample_gaussian(RngState(1), 400, 3)
+    magnitude_gradient(x, 1.0)  # builds the stored geometry
+    tracemalloc.start()
+    try:
+        magnitude_gradient(x, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 8 * 400**2
 
 
 def test_cholesky_failure_reports_pivot():
