@@ -18,10 +18,10 @@ from .distance import (BoundCheck, CrossPolytopeResult, DistanceReport,
                        cross_polytope_counterexample, limit_probe,
                        mag_distance, mag_distance_gradient)
 from .baselines import mmd_squared, sliced_wasserstein, wasserstein_1d
-from .experiments import (StudyConfig, StudyRow, config_as_dict,
-                          config_from_dict, default_config, recommend_scale,
-                          run_study, study_names, summarize, summary_path,
-                          write_rows, write_summary)
+from .experiments import (StudyConfig, StudyRow, config_from_dict,
+                          default_config, recommend_scale, run_study,
+                          study_names, summarize, summary_path, write_rows,
+                          write_summary)
 from .maggn import (Generator, TrainConfig, TrainLog, TrainLogRow,
                     forward, init_generator, load_checkpoint, multiscale_loss,
                     sample, save_checkpoint, train)
@@ -44,7 +44,7 @@ __all__ = [
     # baselines
     "mmd_squared", "sliced_wasserstein", "wasserstein_1d",
     # experiments
-    "StudyConfig", "StudyRow", "config_as_dict", "config_from_dict",
+    "StudyConfig", "StudyRow", "config_from_dict",
     "default_config", "recommend_scale", "run_study", "study_names",
     "summarize", "summary_path", "write_rows", "write_summary",
     # maggn

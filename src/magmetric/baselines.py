@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PointSet, RngState, _block, _is_int, _require_same_dim
+from .core import PointSet, RngState, _block, _require_int, _require_same_dim
 from .distance import _union_geometry
 from .magnitude import _require_scale
 
@@ -66,8 +66,7 @@ def sliced_wasserstein(X: PointSet, Y: PointSet, n_proj: int = 128, *,
     Deterministic given rng: directions consume n_proj * dim normal draws.
     """
     _require_same_dim(X, Y)
-    if not _is_int(n_proj) or n_proj < 1:
-        raise ValueError(f"n_proj must be an integer >= 1, got {n_proj!r}")
+    _require_int(n_proj, "n_proj", 1)
     if len(X) == 0 or len(Y) == 0:
         raise ValueError("sliced_wasserstein needs nonempty sets")
     dirs = rng.normals(n_proj * X.dim).reshape(n_proj, X.dim)

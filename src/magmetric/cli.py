@@ -9,16 +9,18 @@ params, results, blas_threads}, the last from `_blas.THREADS`. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 from ._blas import THREADS as BLAS_THREADS
-from .core import DimensionMismatch, RngState, fmt17, read_point_csv, write_point_csv
+from .core import (DimensionMismatch, RngState, _require_int, fmt17, read_point_csv,
+                   write_point_csv)
 from .distance import (ScaleSchedule, bound_check, cross_polytope_counterexample,
                        mag_distance)
-from .experiments import (config_as_dict, config_from_dict, run_study,
-                          study_names, summary_path, write_rows, write_summary)
+from .experiments import (config_from_dict, run_study, study_names, summary_path,
+                          write_rows, write_summary)
 from .magnitude import CholeskyFailure, CoincidentPoints, _nonnegative, magnitude
 from .maggn import (TrainConfig, init_generator, load_checkpoint, sample,
                     save_checkpoint, train)
@@ -153,7 +155,7 @@ def cmd_experiment(args) -> None:
         raise ValueError(f"output directory {out_dir!r} does not exist")
     if os.path.isdir(args.out):
         raise ValueError(f"--out {args.out!r} is a directory, not a file")
-    cfg_dict = config_as_dict(cfg)
+    cfg_dict = dataclasses.asdict(cfg)
     _echo(args, seed=cfg.seed)
     _echo(args, config=json.dumps(cfg_dict, sort_keys=True))
     rows = run_study(args.study, cfg)
@@ -174,10 +176,6 @@ def cmd_maggn_train(args) -> None:
     config = TrainConfig(schedule=schedule, epochs=args.epochs,
                          batch_real=args.batch_real, batch_gen=args.batch_gen,
                          learning_rate=args.lr, seed=args.seed)
-    first_epoch = schedule.entries[0][1]
-    if first_epoch > args.epochs:  # every epoch would log 0 and train nothing
-        raise ValueError(f"schedule starts at epoch {first_epoch}, after "
-                         f"--epochs {args.epochs}: no scale would ever train")
     _echo(args, seed=args.seed)
     if args.epochs < schedule.last_epoch:
         print(f"warning: schedule entry at epoch {schedule.last_epoch} never "
@@ -207,8 +205,7 @@ def cmd_maggn_sample(args) -> None:
         raise ValueError("--out must name a directory")
     ckpt = os.path.join(args.out, "checkpoint.json")
     gen = load_checkpoint(ckpt)
-    if args.n < 1:
-        raise ValueError("n must be >= 1")
+    _require_int(args.n, "n", 1)
     _echo(args, seed=args.seed)
     rng = RngState(args.seed).derive(2)
     points = sample(gen, rng, args.n)

@@ -46,24 +46,13 @@ def mix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _is_int(value) -> bool:
-    """Whether value is a Python or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _require_int(value, name: str, low: int | None = None) -> None:
-    """Raise ValueError naming `name` unless value is an integer at least `low`."""
-    if not _is_int(value):
+    """Raise ValueError naming `name` unless value is a Python or numpy
+    integer (a bool is not one) at least `low`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}")
-
-
-def _require_count(count) -> None:
-    """Raise ValueError unless count is a nonnegative integer."""
-    _require_int(count, "count")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
 
 
 class RngState:
@@ -110,13 +99,13 @@ class RngState:
 
     def uniforms(self, count: int) -> np.ndarray:
         """`count` floats in (0, 1]."""
-        _require_count(count)
+        _require_int(count, "count", 0)
         z = self._bulk_u64(count)
         return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
 
     def normals(self, count: int) -> np.ndarray:
         """`count` standard normals via Box-Muller."""
-        _require_count(count)
+        _require_int(count, "count", 0)
         if count == 0:
             return np.zeros(0)
         pairs = (count + 1) // 2
@@ -130,7 +119,7 @@ class RngState:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates shuffle of arange(n); one word per swap."""
-        _require_count(n)
+        _require_int(n, "count", 0)
         idx = list(range(n))
         bounds = np.arange(n, 1, -1, dtype=np.uint64)  # swap i draws word % (i + 1)
         js = (self._bulk_u64(len(bounds)) % bounds).tolist()

@@ -56,7 +56,7 @@ class DistanceReport:
 class ScaleSchedule:
     """Ordered (t_i, e_i) pairs: at epoch e_i the scale t_i joins the loss.
 
-    Epochs must be positive and strictly increasing; a scale may not repeat.
+    Epochs are integers >= 1 and strictly increasing; a scale may not repeat.
     Nondecreasing scales are intended (coarse to fine); violations are legal
     and warned about by the consumers, since the loss is defined either way.
     """
@@ -64,20 +64,19 @@ class ScaleSchedule:
     entries: tuple[tuple[float, int], ...]
 
     def __post_init__(self):
-        cleaned = tuple((float(t), int(e)) for t, e in self.entries)
-        if any(e != c for (_, e), (_, c) in zip(self.entries, cleaned)):
-            raise ValueError("schedule epochs must be whole numbers")
-        if not cleaned:
+        if not self.entries:
             raise ValueError("schedule needs at least one entry")
-        prev_epoch = 0
-        for i, (t, e) in enumerate(cleaned):
+        cleaned = []
+        for t, e in self.entries:
             _require_scale(t, "schedule scales")
-            if e <= prev_epoch:
-                raise ValueError("schedule epochs must be strictly increasing and >= 1")
-            if any(t == s for s, _ in cleaned[:i]):
-                raise ValueError(f"schedule scales must not repeat a value, got {t!r} twice")
-            prev_epoch = e
-        object.__setattr__(self, "entries", cleaned)
+            _require_int(e, "schedule epochs", 1)
+            if cleaned and e <= cleaned[-1][1]:
+                raise ValueError("schedule epochs must be strictly increasing")
+            if any(t == s for s, _ in cleaned):
+                raise ValueError("schedule scales must not repeat a value, "
+                                 f"got {float(t)!r} twice")
+            cleaned.append((float(t), int(e)))
+        object.__setattr__(self, "entries", tuple(cleaned))
 
     @property
     def scales_nondecreasing(self) -> bool:

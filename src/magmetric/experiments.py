@@ -12,7 +12,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -66,8 +66,8 @@ class StudyConfig:
     radii: tuple[float, ...] = ()
 
     def __post_init__(self):
-        for name in ("seed", "n_per_set", "trials"):
-            _require_int(getattr(self, name), name)
+        for name, low in (("seed", None), ("n_per_set", 1), ("trials", 1)):
+            _require_int(getattr(self, name), name, low)
         for name, (kind, cast) in _LIST_FIELDS.items():
             value = getattr(self, name)
             if not _is_list_of(value, kind):
@@ -77,12 +77,10 @@ class StudyConfig:
                 raise ValueError(f"{name} must be finite")
         for name in ("dims", "adaptive_scales", "shifts", "epsilons"):
             _require_distinct(self, name)
-        if not self.dims or any(d < 1 for d in self.dims):
-            raise ValueError("dims must be positive")
-        if self.n_per_set < 1:
-            raise ValueError("n_per_set must be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
+        if not self.dims:
+            raise ValueError("dims must not be empty")
+        for d in self.dims:
+            _require_int(d, "dims", 1)
         for t in self.scales:
             _require_scale(t, "scales")
         unknown = set(self.adaptive_scales) - {"inv_d", "inv_sqrt_d"}
@@ -118,8 +116,7 @@ def contamination_count(eps: float, n: int) -> int:
 
 def recommend_scale(dim: int) -> float:
     """Default scale heuristic for D-dimensional data: 1/sqrt(D)."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    _require_int(dim, "dim", 1)
     return 1.0 / math.sqrt(dim)
 
 
@@ -424,12 +421,3 @@ def write_summary(path, rows: list[StudyRow]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summarize(rows), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def config_as_dict(cfg: StudyConfig) -> dict:
-    """JSON-friendly rendering of a config (tuples become lists)."""
-    d = asdict(cfg)
-    for key, val in d.items():
-        if isinstance(val, tuple):
-            d[key] = list(val)
-    return d

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DimensionMismatch, PointSet, RngState, _is_int, _is_list_of,
-                   _require_int, fmt17)
+from .core import DimensionMismatch, PointSet, RngState, _is_list_of, _require_int, fmt17
 from .distance import ScaleSchedule, _value_and_gradient
 from .magnitude import CoincidentPoints
 
@@ -60,12 +59,15 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        for name in ("epochs", "batch_real", "batch_gen", "seed"):
-            _require_int(getattr(self, name), name)
-        if self.epochs < 1 or self.batch_real < 1 or self.batch_gen < 1:
-            raise ValueError("epochs and batch sizes must be positive")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+        for name, low in (("epochs", 1), ("batch_real", 1), ("batch_gen", 1), ("seed", None)):
+            _require_int(getattr(self, name), name, low)
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not (math.isfinite(lr) and lr >= 0):
             raise ValueError("learning_rate must be finite and not negative")
+        first_epoch = self.schedule.entries[0][1]
+        if first_epoch > self.epochs:  # every epoch would log 0 and train nothing
+            raise ValueError(f"schedule starts at epoch {first_epoch}, after epochs "
+                             f"{self.epochs}: no scale would ever train")
 
 
 @dataclass(frozen=True)
@@ -92,11 +94,11 @@ class TrainLog:
 
 def _check_generator(dims, params=()) -> None:
     """What every Generator meets: an input and an output size, every layer
-    dim >= 1, and finite parameters."""
+    dim an integer >= 1, and finite parameters."""
     if len(dims) < 2:
         raise ValueError("layer_dims needs at least input and output sizes")
-    if any(d < 1 for d in dims):
-        raise ValueError("layer dims must be positive")
+    for d in dims:
+        _require_int(d, "layer_dims", 1)
     if not all(np.isfinite(p).all() for p in params):
         raise ValueError("generator parameters must be finite")
 
@@ -109,10 +111,8 @@ def init_generator(rng: RngState, layer_dims) -> Generator:
     no draws. Layer order front to back.
     """
     dims = tuple(layer_dims)
-    if not all(map(_is_int, dims)):
-        raise ValueError(f"layer_dims must be integers, got {dims!r}")
-    dims = tuple(map(int, dims))
     _check_generator(dims)
+    dims = tuple(map(int, dims))
     weights, biases = [], []
     for fan_in, fan_out in zip(dims, dims[1:]):
         lim = math.sqrt(6.0 / (fan_in + fan_out))
@@ -246,9 +246,7 @@ def train(gen: Generator, data: PointSet, config: TrainConfig):
         adam_v += (1.0 - ADAM_BETA2) * g * g
         params -= config.learning_rate * (adam_m / corr1) / (
             np.sqrt(adam_v / corr2) + ADAM_EPS)
-        # one sum per array, added in layer order: the bits of summing each
-        # gradient on its own, whatever the flat layout
-        grad_norm = math.sqrt(sum(float(s.sum()) for s in _split(g * g, arrays)))
+        grad_norm = math.sqrt(sum(float((a * a).sum()) for a in g_w + g_b))
         log.rows.append(TrainLogRow(epoch, len(active), float(loss), grad_norm,
                                     time.perf_counter() - started))
     return gen, log

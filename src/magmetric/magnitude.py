@@ -64,8 +64,8 @@ class MagnitudeResult:
 
 
 def _require_scale(t, name: str = "scale t") -> None:
-    """Raise ValueError unless t is finite and positive (NaN fails too)."""
-    if not (math.isfinite(t) and t > 0):
+    """Raise ValueError unless t is finite and positive (NaN and bools fail too)."""
+    if isinstance(t, bool) or not (math.isfinite(t) and t > 0):
         raise ValueError(f"{name} must be finite and positive")
 
 

@@ -17,7 +17,7 @@ from magmetric.core import PointSet, RngState, sample_gaussian
 
 def test_mmd_bandwidth_validation():
     x = PointSet([[0.0], [1.0]])
-    for bad in (0.0, -1.0, math.nan, math.inf):
+    for bad in (0.0, -1.0, math.nan, math.inf, True):
         with pytest.raises(ValueError, match="bandwidth sigma must be finite"):
             mmd_squared(x, x, bad)
 

@@ -1,4 +1,5 @@
 """CLI: exit codes, seed echo, JSON envelope, end-to-end subcommands."""
+import dataclasses
 import importlib
 import json
 import os
@@ -12,6 +13,7 @@ from magmetric.cli import main
 from magmetric.core import (PointSet, RngState, fmt17, read_point_csv, sample_gaussian,
                             write_point_csv)
 from magmetric.distance import mag_distance
+from magmetric.experiments import StudyConfig
 from magmetric.maggn import init_generator, save_checkpoint
 from magmetric.magnitude import magnitude
 
@@ -359,6 +361,12 @@ def test_experiment_rejects_unknown_config_key(tmp_path, capsys):
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+def test_experiment_flags_name_every_study_config_field():
+    # a StudyConfig field without its flag could be set only from a config file
+    assert sorted(magmetric.cli.STUDY_FLAGS) == sorted(
+        f.name for f in dataclasses.fields(StudyConfig))
+
+
 def test_maggn_train_sample_round_trip(tmp_path, capsys):
     data_csv = str(tmp_path / "target.csv")
     write_point_csv(data_csv,
@@ -414,7 +422,7 @@ def test_maggn_train_bad_schedule(tmp_path, capsys, monkeypatch):
                              str(tmp_path / "r"))
     assert code == 2
     assert out == ""
-    assert "schedule starts at epoch 400, after --epochs 5" in err
+    assert "schedule starts at epoch 400, after epochs 5" in err
     assert not (tmp_path / "r").exists()
     # a bad config is the only message: no warning about the schedule first
     code, out, err = run_cli(capsys, "maggn", "train", "--data", data_csv,
@@ -422,7 +430,7 @@ def test_maggn_train_bad_schedule(tmp_path, capsys, monkeypatch):
                              str(tmp_path / "r"))
     assert code == 2
     assert out == ""
-    assert err == "error: epochs and batch sizes must be positive\n"
+    assert err == "error: epochs must be >= 1\n"
     assert not (tmp_path / "r").exists()
     # an empty --out names no directory at all
     monkeypatch.chdir(tmp_path)
@@ -448,7 +456,7 @@ def test_maggn_train_warns_on_late_schedule_entry(tmp_path, capsys):
 
 @pytest.mark.parametrize("layer_dims,code,message", [
     ("2", 2, "at least input and output sizes"),
-    ("2,0,2", 2, "layer dims must be positive"),
+    ("2,0,2", 2, "layer_dims must be >= 1"),
     ("2,32,3", 4, "data dim 2 vs generator output 3"),
 ])
 def test_maggn_train_bad_layer_dims(tmp_path, capsys, layer_dims, code, message):

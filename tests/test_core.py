@@ -73,7 +73,7 @@ def test_rng_takes_numpy_integer_counts():
 
 def test_rng_permutation_refuses_negative_count():
     rng = RngState(77)
-    with pytest.raises(ValueError, match="count must be nonnegative"):
+    with pytest.raises(ValueError, match="count must be >= 0"):
         rng.permutation(-1)
     # nothing was drawn
     assert np.array_equal(rng.permutation(10), RngState(77).permutation(10))
@@ -89,7 +89,7 @@ def test_rng_refuses_a_count_that_is_not_an_integer(method):
         with pytest.raises(ValueError, match="count must be an integer"):
             draw(count)
     for count in (-1, np.int64(-1)):
-        with pytest.raises(ValueError, match="count must be nonnegative"):
+        with pytest.raises(ValueError, match="count must be >= 0"):
             draw(count)
     # nothing was drawn
     assert rng.uniforms(4).tobytes() == RngState(1).uniforms(4).tobytes()

@@ -130,14 +130,20 @@ def test_schedule_validation():
             ScaleSchedule.parse(text)
     with pytest.raises(ValueError, match="must not repeat"):
         ScaleSchedule(((2.0, 1), (2, 4)))
-    # an epoch is a whole number; 1.7 is not silently epoch 1
-    for entries in (((0.5, 1.7),), ((0.5, 1), (1.5, 2.5))):
-        with pytest.raises(ValueError, match="epochs must be whole numbers"):
+    # an epoch is an integer: 1.7 is not silently epoch 1, 2.0 is not epoch 2,
+    # and True is not epoch 1
+    for entries, bad in ((((0.5, 1.7),), 1.7), (((0.5, 1), (1.5, 2.5)), 2.5),
+                         (((0.5, 2.0),), 2.0), (((0.5, True),), True)):
+        with pytest.raises(ValueError, match=f"schedule epochs must be an integer, got {bad!r}"):
             ScaleSchedule(entries)
-    assert ScaleSchedule(((0.5, 2.0), (1.5, np.int64(3)))).entries == ((0.5, 2), (1.5, 3))
+    # and True is not scale 1.0
+    with pytest.raises(ValueError, match="schedule scales must be finite"):
+        ScaleSchedule(((True, 1),))
+    entries = ScaleSchedule(((0.5, 1), (1.5, np.int64(3)))).entries
+    assert entries == ((0.5, 1), (1.5, 3)) and type(entries[1][1]) is int
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
+@pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, True])
 def test_distance_rejects_bad_scale(t):
     x, y = _pair(3)
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,11 @@ import pytest
 import magmetric
 from magmetric import experiments
 from magmetric.cli import main
-from magmetric.experiments import (CSV_HEADER, StudyConfig, config_as_dict,
-                                   config_from_dict, contamination_count,
-                                   default_config, fmt17, recommend_scale,
-                                   run_study, study_names, summarize,
-                                   summary_path, write_rows, write_summary)
+from magmetric.experiments import (CSV_HEADER, StudyConfig, config_from_dict,
+                                   contamination_count, default_config, fmt17,
+                                   recommend_scale, run_study, study_names,
+                                   summarize, summary_path, write_rows,
+                                   write_summary)
 from magmetric.magnitude import CholeskyFailure
 
 SMALL = dict(trials=2, n_per_set=30)
@@ -48,8 +49,14 @@ def test_study_names_and_defaults():
 def test_recommend_scale():
     assert recommend_scale(4) == pytest.approx(0.5, abs=1e-15)
     assert recommend_scale(100) == pytest.approx(0.1, abs=1e-15)
-    with pytest.raises(ValueError):
-        recommend_scale(0)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="^dim must be >= 1$"):
+            recommend_scale(bad)
+    # 2.5 is not a dimension, and True is not dimension 1
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=rf"^dim must be an integer, got {bad!r}$"):
+            recommend_scale(bad)
+    assert recommend_scale(np.int64(4)) == recommend_scale(4)
 
 
 def test_contamination_count_exact_boundaries():
@@ -106,7 +113,7 @@ def test_study_requirements_checked_when_built():
 
 def test_config_round_trip_and_unknown_fields():
     cfg = config_from_dict("huber", {}, trials=3)
-    data = config_as_dict(cfg)
+    data = asdict(cfg)
     back = config_from_dict("huber", data)
     assert back == cfg
     with pytest.raises(ValueError):

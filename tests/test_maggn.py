@@ -46,7 +46,7 @@ def test_init_rejects_bad_dims():
         init_generator(RngState(1), (4, 0, 2))
     # a size is not truncated or read from a bool: (2, 32.7, 2) is not (2, 32, 2)
     for dims in ((2, 32.7, 2), (2, True, 2), (2.0, 4, 2), (2, "4", 2)):
-        with pytest.raises(ValueError, match="layer_dims must be integers"):
+        with pytest.raises(ValueError, match="layer_dims must be an integer"):
             init_generator(RngState(1), dims)
     assert init_generator(RngState(1), (np.int64(2), 4, 2)).layer_dims == (2, 4, 2)
 
@@ -100,11 +100,16 @@ def _data(seed=8, n=48):
 
 
 def test_train_config_validation():
-    for bad in (-0.1, math.nan, math.inf):
+    for bad in (-0.1, math.nan, math.inf, True):
         with pytest.raises(ValueError, match="learning_rate must be finite"):
             TrainConfig(schedule=small_schedule(), learning_rate=bad)
-    with pytest.raises(ValueError, match="batch sizes"):
+    with pytest.raises(ValueError, match="batch_gen must be >= 1"):
         TrainConfig(schedule=small_schedule(), batch_gen=0)
+    # a schedule that starts after the last epoch would train nothing
+    with pytest.raises(ValueError, match="^schedule starts at epoch 3, after epochs 2: "
+                                         "no scale would ever train$"):
+        TrainConfig(schedule=ScaleSchedule.parse("0.5@3"), epochs=2)
+    assert TrainConfig(schedule=ScaleSchedule.parse("0.5@2,1.5@9"), epochs=2).epochs == 2
     # counts and the seed are integers: bools and floats are refused at
     # construction, numpy integers are kept
     for name in ("epochs", "batch_real", "batch_gen", "seed"):
@@ -249,12 +254,12 @@ def test_checkpoint_rejects_bad_blobs(tmp_path):
 
 def test_checkpoint_rejects_what_init_rejects(tmp_path):
     path = str(tmp_path / "bad.json")
-    with pytest.raises(ValueError, match="layer dims must be positive"):
+    with pytest.raises(ValueError, match="layer_dims must be >= 1"):
         init_generator(RngState(1), (2, 0, 2))
     Path(path).write_text(json.dumps({"format_version": 1, "layer_dims": [2, 0, 2],
                                       "layers": [{"weights": [], "biases": []},
                                                  {"weights": [], "biases": [1.5, -2.0]}]}))
-    with pytest.raises(ValueError, match="layer dims must be positive"):
+    with pytest.raises(ValueError, match="layer_dims must be >= 1"):
         load_checkpoint(path)
     gen = init_generator(RngState(1), (2, 3, 2))
     save_checkpoint(gen, path)
@@ -316,23 +321,24 @@ def _one_scale_config(schedule: str, epochs: int) -> TrainConfig:
 def test_inactive_epochs_log_zero_and_hold_parameters(monkeypatch):
     scales = []
     real = magmetric.maggn._value_and_gradient
+    gen = init_generator(RngState(3), (2, 8, 2))
+    before = _params(gen)
+    held = []
 
     def recording(x, y, t, normalized):
         scales.append(t)
+        held.append(not _moved(gen, before))
         return real(x, y, t, normalized=normalized)
 
     monkeypatch.setattr(magmetric.maggn, "_value_and_gradient", recording)
-    gen = init_generator(RngState(3), (2, 8, 2))
-    before = _params(gen)
-    gen, log = train(gen, _data(), _one_scale_config("0.5@3", epochs=2))
+    gen, log = train(gen, _data(), _one_scale_config("0.5@3", epochs=3))
     assert [(r.epoch, r.active_scales, r.loss, r.grad_norm, r.error)
-            for r in log.rows] == [(1, 0, 0.0, 0.0, ""), (2, 0, 0.0, 0.0, "")]
-    assert scales == [] and not _moved(gen, before)
-    # epoch 3 activates the scale and takes the first step
-    gen, log = train(init_generator(RngState(3), (2, 8, 2)), _data(),
-                     _one_scale_config("0.5@3", epochs=3))
+            for r in log.rows[:2]] == [(1, 0, 0.0, 0.0, ""), (2, 0, 0.0, 0.0, "")]
+    # epochs 1 and 2 took no loss and no step; epoch 3 activates the scale
+    # and takes the first step
+    assert scales == [0.5] and held == [True]
     assert log.rows[2].active_scales == 1 and log.rows[2].loss > 0.0
-    assert scales == [0.5] and _moved(gen, before)
+    assert _moved(gen, before)
 
 
 def test_coincident_points_retry_with_a_fresh_batch(monkeypatch):

@@ -63,7 +63,7 @@ def test_scale_must_be_positive():
         magnitude(PointSet([[0.0], [1.0]]), -1.0)
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf])
+@pytest.mark.parametrize("t", [math.nan, math.inf, True])
 def test_scale_must_be_finite(t):
     pts = PointSet([[0.0], [1.0]])
     for fn in (magnitude, magnitude_gradient):
