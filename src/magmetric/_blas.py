@@ -11,15 +11,20 @@ import importlib.util
 import os
 import warnings
 
-import numpy
-import scipy
+
+def _directory(package: str) -> str:
+    """The installed `package`'s directory, found without running any `__init__`."""
+    top, *sub = package.split(".")  # find_spec("a.b") would import a
+    spec = importlib.util.find_spec(top)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {top!r}", name=top)
+    return os.path.join(spec.submodule_search_locations[0], *sub)
 
 
-def bundled(package) -> tuple:
+def bundled(package: str) -> tuple:
     """(ctypes library or None, symbol suffix) of a wheel's bundled OpenBLAS."""
-    suffix = "64_" if package is numpy else ""
-    libdir = os.path.join(os.path.dirname(package.__file__), os.pardir,
-                          package.__name__ + ".libs")
+    suffix = "64_" if package == "numpy" else ""
+    libdir = os.path.join(os.path.dirname(_directory(package)), package + ".libs")
     for path in sorted(glob.glob(os.path.join(libdir, "libscipy_openblas*"))):
         try:
             return ctypes.CDLL(path), suffix
@@ -30,11 +35,10 @@ def bundled(package) -> tuple:
 
 def extension(package: str, name: str):
     """The compiled module `package.name`, loaded from its file without
-    running `package`'s `__init__` (scipy.linalg's and scipy.spatial's pull
-    in kd-trees, qhull and scipy.sparse). The module is the one scipy's own
-    import would give, so its functions are the objects scipy's public API
-    calls."""
-    directory = importlib.util.find_spec(package).submodule_search_locations[0]
+    running scipy's `__init__` (scipy._lib) or `package`'s (kd-trees, qhull
+    and scipy.sparse). The module is the one scipy's own import would give,
+    so its functions are the objects scipy's public API calls."""
+    directory = _directory(package)
     fullname = f"{package}.{name}"
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = os.path.join(directory, name + suffix)
@@ -68,4 +72,13 @@ def pin(libraries: dict) -> dict:
     return threads
 
 
-THREADS = pin({"numpy": bundled(numpy), "scipy": bundled(scipy)})
+# OpenBLAS reads OPENBLAS_NUM_THREADS once, as it loads: at 1 it starts no
+# worker threads, which would spin through the rest of the import
+_caller = os.environ.get("OPENBLAS_NUM_THREADS")
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    THREADS = pin({name: bundled(name) for name in ("numpy", "scipy")})
+finally:  # the caller's setting, or its absence, is put back
+    del os.environ["OPENBLAS_NUM_THREADS"]
+    if _caller is not None:
+        os.environ["OPENBLAS_NUM_THREADS"] = _caller

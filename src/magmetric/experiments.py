@@ -11,7 +11,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -375,6 +374,7 @@ def run_study(study: str, config: StudyConfig | None = None) -> list[StudyRow]:
     if threads == 1 or len(cells) <= 1:
         chunks = [run_cell(cell) for cell in cells]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # here: a serial run never loads it
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(run_cell, cells))
     rows = [row for chunk in chunks for row in chunk]

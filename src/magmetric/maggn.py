@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import DimensionMismatch, PointSet, RngState, _is_list_of, _require_int, fmt17
 from .distance import ScaleSchedule, _value_and_gradient
-from .magnitude import CoincidentPoints
+from .magnitude import _REAL, CoincidentPoints
 
 CHECKPOINT_VERSION = 1
 TRAIN_LOG_HEADER = "epoch,active_scales,loss,grad_norm,seconds"
@@ -62,7 +62,7 @@ class TrainConfig:
         for name, low in (("epochs", 1), ("batch_real", 1), ("batch_gen", 1), ("seed", None)):
             _require_int(getattr(self, name), name, low)
         lr = self.learning_rate
-        if isinstance(lr, bool) or not (math.isfinite(lr) and lr >= 0):
+        if isinstance(lr, bool) or not (isinstance(lr, _REAL) and math.isfinite(lr) and lr >= 0):
             raise ValueError("learning_rate must be finite and not negative")
         first_epoch = self.schedule.entries[0][1]
         if first_epoch > self.epochs:  # every epoch would log 0 and train nothing

@@ -25,6 +25,7 @@ dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 SOLVER_RESIDUAL_TOL = 1e-8
 DEFAULT_EPS_SEP = 1e-9       # below this separation, distance gradients blow up
 DEFAULT_SUPPORT_TOL = 1e-10  # a weight w >= -tol counts as nonnegative
+_REAL = (int, float, np.integer, np.floating)  # Python and numpy reals; a bool passes too
 
 
 class CholeskyFailure(ArithmeticError):
@@ -64,8 +65,8 @@ class MagnitudeResult:
 
 
 def _require_scale(t, name: str = "scale t") -> None:
-    """Raise ValueError unless t is finite and positive (NaN and bools fail too)."""
-    if isinstance(t, bool) or not (math.isfinite(t) and t > 0):
+    """Raise ValueError unless t is a finite positive real (NaN and bools are not)."""
+    if isinstance(t, bool) or not (isinstance(t, _REAL) and math.isfinite(t) and t > 0):
         raise ValueError(f"{name} must be finite and positive")
 
 

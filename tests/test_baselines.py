@@ -17,9 +17,10 @@ from magmetric.core import PointSet, RngState, sample_gaussian
 
 def test_mmd_bandwidth_validation():
     x = PointSet([[0.0], [1.0]])
-    for bad in (0.0, -1.0, math.nan, math.inf, True):
+    for bad in (0.0, -1.0, math.nan, math.inf, True, "1", 1 + 2j, None):
         with pytest.raises(ValueError, match="bandwidth sigma must be finite"):
             mmd_squared(x, x, bad)
+    assert mmd_squared(x, x, np.float32(0.5)) == mmd_squared(x, x, 0.5)
 
 
 def test_kernel_gram_values():
@@ -158,8 +159,9 @@ _IMPORT_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import magmetric.cli
-loaded = [m for m in ("scipy.linalg", "scipy.spatial", "scipy.sparse", "scipy.stats")
-          if m in sys.modules]
+loaded = [m for m in ("scipy", "scipy.linalg", "scipy.spatial", "scipy.sparse",
+                      "scipy.stats", "concurrent.futures") if m in sys.modules]
+loaded += [m for m in sys.modules if m.startswith("scipy._lib")]
 import numpy as np
 from scipy.linalg import lapack
 from scipy.spatial.distance import pdist, squareform
@@ -183,9 +185,10 @@ print(json.dumps({
 
 
 def test_import_does_not_load_scipy_stats():
-    # nor scipy.linalg, scipy.spatial or scipy.sparse: the three compiled
-    # modules magmetric calls are loaded from their files, and they agree
-    # bitwise with the public modules imported after them
+    # nor scipy itself, scipy._lib, scipy.linalg, scipy.spatial or
+    # scipy.sparse: the three compiled modules magmetric calls are loaded from
+    # their files, and they agree bitwise with the public modules imported
+    # after them; nor the thread pool, which only a threaded study builds
     src = os.path.dirname(os.path.dirname(magmetric.__file__))
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, src], capture_output=True,
                          text=True, check=True).stdout

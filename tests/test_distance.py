@@ -136,9 +136,11 @@ def test_schedule_validation():
                          (((0.5, 2.0),), 2.0), (((0.5, True),), True)):
         with pytest.raises(ValueError, match=f"schedule epochs must be an integer, got {bad!r}"):
             ScaleSchedule(entries)
-    # and True is not scale 1.0
-    with pytest.raises(ValueError, match="schedule scales must be finite"):
-        ScaleSchedule(((True, 1),))
+    # and True is not scale 1.0, nor is a string or a complex number a scale
+    for bad in (True, "0.5", 1 + 2j, None):
+        with pytest.raises(ValueError, match="schedule scales must be finite"):
+            ScaleSchedule(((bad, 1),))
+    assert ScaleSchedule(((np.float32(0.5), 1),)).entries == ((0.5, 1),)
     entries = ScaleSchedule(((0.5, 1), (1.5, np.int64(3)))).entries
     assert entries == ((0.5, 1), (1.5, 3)) and type(entries[1][1]) is int
 

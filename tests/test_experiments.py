@@ -369,7 +369,7 @@ def test_study_bytes_independent_of_blas_threads(tmp_path):
     env = {**os.environ, "PYTHONPATH": src, "MAGMETRIC_THREADS": "1"}
     probe = ("import json, magmetric, numpy, scipy; "
              "from magmetric._blas import bundled; "
-             "libs = {p.__name__: bundled(p) for p in (numpy, scipy)}; "
+             "libs = {p.__name__: bundled(p.__name__) for p in (numpy, scipy)}; "
              "print(json.dumps({name: getattr(lib, 'scipy_openblas_get_num_threads' + sfx)() "
              "for name, (lib, sfx) in libs.items()}))")
     children = {}

@@ -100,9 +100,11 @@ def _data(seed=8, n=48):
 
 
 def test_train_config_validation():
-    for bad in (-0.1, math.nan, math.inf, True):
-        with pytest.raises(ValueError, match="learning_rate must be finite"):
+    for bad in (-0.1, math.nan, math.inf, True, "0.1", 1 + 2j, None):
+        with pytest.raises(ValueError, match="learning_rate must be finite and not negative"):
             TrainConfig(schedule=small_schedule(), learning_rate=bad)
+    for good in (np.float32(0.5), np.int64(0)):
+        assert TrainConfig(schedule=small_schedule(), learning_rate=good).learning_rate == good
     with pytest.raises(ValueError, match="batch_gen must be >= 1"):
         TrainConfig(schedule=small_schedule(), batch_gen=0)
     # a schedule that starts after the last epoch would train nothing

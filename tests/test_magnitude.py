@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from magmetric.core import PointSet, RngState, pairwise_distances, sample_gaussian
+from magmetric.distance import mag_distance
 from magmetric.magnitude import (CholeskyFailure, CoincidentPoints, _gradient_rows,
                                  _inverse_distances, _solve_ones, magnitude,
                                  magnitude_gradient)
@@ -63,12 +64,15 @@ def test_scale_must_be_positive():
         magnitude(PointSet([[0.0], [1.0]]), -1.0)
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, True])
+@pytest.mark.parametrize("t", [math.nan, math.inf, True, "1", 1 + 2j, None])
 def test_scale_must_be_finite(t):
+    # a scale that is not a real number is refused by name, not by a TypeError
     pts = PointSet([[0.0], [1.0]])
     for fn in (magnitude, magnitude_gradient):
         with pytest.raises(ValueError, match="finite"):
             fn(pts, t)
+    with pytest.raises(ValueError, match="^scale t must be finite and positive$"):
+        mag_distance(pts, pts, t)
 
 
 def test_nan_matrix_fails_the_residual_gate():
